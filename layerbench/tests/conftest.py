@@ -1,0 +1,7 @@
+"""Import the harness modules and the checkout's own ``repro`` source."""
+
+import sys
+from pathlib import Path
+
+BENCH = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(BENCH), str(BENCH.parent / "src")]
