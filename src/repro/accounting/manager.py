@@ -162,8 +162,8 @@ class RegisteredDataset:
         same distribution as ``table`` but *disjoint* from it.
     version:
         Monotone registration generation assigned by the owning manager.
-        Anything derived from the dataset's *contents* (memoized block
-        plans, materializations) keys on ``(name, version)`` so a
+        Anything derived from the dataset's *contents* (cached answers,
+        shard segments) keys on ``(name, version)`` so a
         retire-and-re-register under the same name can never serve
         derivations of the old records.
     metrics:

@@ -8,13 +8,11 @@
 * :mod:`repro.core.block_size` — optimal block size via aged data (§4.3).
 * :mod:`repro.core.budget_estimation` — accuracy goal -> epsilon (§5.1).
 * :mod:`repro.core.budget_distribution` — epsilon across queries (§5.2).
-* :mod:`repro.core.plan_cache` — memoized block plans and materializations.
 * :mod:`repro.core.gupt` — the :class:`GuptRuntime` facade.
 """
 
 from repro.core.blocks import BlockPlan, blocks_per_round
 from repro.core.aggregation import NoisyAverageAggregator, OutputRange
-from repro.core.plan_cache import BlockPlanCache, PlanKey
 from repro.core.range_estimation import (
     HelperRange,
     LooseOutputRange,
@@ -35,7 +33,6 @@ __all__ = [
     "AccuracyGoal",
     "AgedData",
     "BlockPlan",
-    "BlockPlanCache",
     "BlockSizeChoice",
     "BlockSizeSearch",
     "BudgetDistributor",
@@ -46,7 +43,6 @@ __all__ = [
     "LooseOutputRange",
     "NoisyAverageAggregator",
     "OutputRange",
-    "PlanKey",
     "PlannedQuery",
     "QuerySpec",
     "RangeStrategy",

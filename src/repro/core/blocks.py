@@ -70,17 +70,16 @@ class BlockPlan:
     resampling_factor:
         gamma; 1 reproduces the disjoint partitioning of Algorithm 1.
     blocks:
-        Tuple of integer index arrays, one per block, each of length
-        ``block_size``.
+        The blocks' record indices, one block per row: an
+        ``(l, block_size)`` integer matrix when every block is full
+        (plans from :meth:`draw`), or a tuple of index arrays when block
+        sizes vary (grouped, user-level plans).
     """
 
     num_records: int
     block_size: int
     resampling_factor: int
-    blocks: tuple[np.ndarray, ...] = field(repr=False)
-    _matrix_cache: np.ndarray | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
+    blocks: np.ndarray | tuple[np.ndarray, ...] = field(repr=False)
 
     @property
     def num_blocks(self) -> int:
@@ -104,19 +103,12 @@ class BlockPlan:
         grouped (user-level) plans may not, in which case there is no
         rectangular view and callers fall back to per-block slicing.
         """
-        matrix = self._matrix_cache
-        if matrix is None:
-            width = len(self.blocks[0]) if self.blocks else 0
-            if not all(len(b) == width for b in self.blocks):
-                return None
-            matrix = np.vstack(self.blocks) if self.blocks else None
-            object.__setattr__(self, "_matrix_cache", matrix)
-        return matrix
+        return self.blocks if isinstance(self.blocks, np.ndarray) else None
 
     def stack(self, values: np.ndarray) -> np.ndarray | None:
         """All blocks as one ``(l, block_size, d)`` stacked array.
 
-        A single fancy-index gather instead of ``l`` separate ones; the
+        A single gather instead of ``l`` separate ones; the
         per-block rows of the result are zero-copy views into it, which
         is what the vectorized execution backend consumes directly.
         Returns ``None`` for ragged (grouped) plans.
@@ -124,9 +116,7 @@ class BlockPlan:
         matrix = self.index_matrix
         if matrix is None:
             return None
-        values = np.asarray(values)
-        flat = values[matrix.reshape(-1)]
-        return flat.reshape(matrix.shape[0], matrix.shape[1], *values.shape[1:])
+        return np.take(np.asarray(values), matrix, axis=0)
 
     def materialize(self, values: np.ndarray) -> list[np.ndarray]:
         """Row-slices of ``values`` for each block."""
@@ -172,19 +162,21 @@ class BlockPlan:
 
         generator = as_generator(rng)
         bins_per_round = blocks_per_round(num_records, block_size)
-        blocks: list[np.ndarray] = []
-        for _ in range(resampling_factor):
-            order = generator.permutation(num_records)
-            # One reshape + row-wise sort instead of a Python loop over
-            # bins: identical indices to slicing bin-by-bin, an order of
-            # magnitude faster at realistic block counts.
-            kept = order[: bins_per_round * block_size]
-            blocks.extend(np.sort(kept.reshape(bins_per_round, block_size), axis=1))
+        kept = bins_per_round * block_size
+        # One reshape + row-wise sort per round instead of a Python loop
+        # over bins: identical indices to slicing bin-by-bin, an order of
+        # magnitude faster at realistic block counts.
+        rounds = [
+            generator.permutation(num_records)[:kept].reshape(bins_per_round, block_size)
+            for _ in range(resampling_factor)
+        ]
+        matrix = rounds[0] if resampling_factor == 1 else np.concatenate(rounds)
+        matrix.sort(axis=1)
         return BlockPlan(
             num_records=num_records,
             block_size=block_size,
             resampling_factor=resampling_factor,
-            blocks=tuple(blocks),
+            blocks=matrix,
         )
 
     @staticmethod
@@ -196,7 +188,7 @@ class BlockPlan:
             num_records=num_records,
             block_size=block_size,
             resampling_factor=resampling_factor,
-            blocks=(),
+            blocks=np.empty((0, block_size), dtype=np.int64),
         )
 
     def record_multiplicity(self) -> np.ndarray:
@@ -206,7 +198,7 @@ class BlockPlan:
         ``resampling_factor``, and when ``block_size`` divides
         ``num_records`` every entry equals it exactly.
         """
-        if not self.blocks:
+        if self.num_blocks == 0:
             return np.zeros(self.num_records, dtype=int)
         return np.bincount(
             np.concatenate(self.blocks), minlength=self.num_records
@@ -342,19 +334,19 @@ def draw_sharded_plan(
             rng=np.random.default_rng(int(plan_seed)),
         )
     offsets = shard_offsets(num_records, shards)
-    blocks: list[np.ndarray] = []
-    for shard in range(shards):
-        local = draw_shard_local_plan(
+    matrix = np.concatenate([
+        draw_shard_local_plan(
             int(offsets[shard + 1] - offsets[shard]),
             block_size,
             resampling_factor,
             plan_seed,
             shards,
             shard,
-        )
-        base = int(offsets[shard])
-        blocks.extend(indices + base for indices in local.blocks)
-    if not blocks:
+        ).blocks
+        + offsets[shard]
+        for shard in range(shards)
+    ])
+    if matrix.shape[0] == 0:
         raise GuptError(
             f"block size {block_size} leaves no full block in any of "
             f"{shards} shards of {num_records} records"
@@ -363,7 +355,7 @@ def draw_sharded_plan(
         num_records=num_records,
         block_size=block_size,
         resampling_factor=int(resampling_factor),
-        blocks=tuple(blocks),
+        blocks=matrix,
     )
 
 

@@ -29,7 +29,6 @@ from repro.core.aging import AgedData
 from repro.core.block_size import BlockSizeSearch
 from repro.core.blocks import blocks_per_round, default_block_size
 from repro.core.budget_estimation import AccuracyGoal, estimate_epsilon
-from repro.core.plan_cache import DEFAULT_MAX_ENTRIES, BlockPlanCache
 from repro.core.range_estimation import (
     HelperRange,
     LooseOutputRange,
@@ -79,18 +78,6 @@ class GuptRuntime:
         authentication; curator-run shard nodes refuse coordinators
         that cannot prove knowledge of it.  Only meaningful with
         ``backend="remote"``.
-    plan_cache:
-        A :class:`~repro.core.plan_cache.BlockPlanCache` to memoize
-        block plans and stacked materializations across queries, or
-        ``None`` to build one of ``plan_cache_size`` entries.  Cache
-        keys are data-independent by construction (registration
-        identity + public plan geometry + seed), and the runtime wires
-        the dataset manager's invalidation hooks in so re-registered
-        datasets evict their stale entries eagerly.
-    plan_cache_size:
-        Entry bound for the runtime-built cache; ``0`` disables caching
-        entirely (plans are still drawn through the same seeded
-        protocol, so released values do not depend on the setting).
     answer_cache:
         An :class:`~repro.optimizer.answer_cache.AnswerCache` replaying
         previously *published* releases for bit-identical repeat
@@ -124,8 +111,6 @@ class GuptRuntime:
         nodes: int | list | None = None,
         node_secret: str | None = None,
         state_dir: str | None = None,
-        plan_cache: BlockPlanCache | None = None,
-        plan_cache_size: int | None = None,
         answer_cache: AnswerCache | None = None,
         answer_cache_size: int | None = None,
     ):
@@ -161,19 +146,6 @@ class GuptRuntime:
         self._rng = as_generator(rng)
         self._rng_lock = threading.Lock()
         self._metrics = metrics
-        if plan_cache is not None and plan_cache_size is not None:
-            raise GuptError("pass either plan_cache or plan_cache_size, not both")
-        if plan_cache is None and plan_cache_size != 0:
-            plan_cache = BlockPlanCache(
-                max_entries=plan_cache_size or DEFAULT_MAX_ENTRIES,
-                metrics=metrics,
-            )
-        self._plan_cache = plan_cache
-        self._plan_cache_unhook: Callable[[], None] | None = None
-        if self._plan_cache is not None:
-            self._plan_cache_unhook = self._datasets.add_invalidation_hook(
-                self._plan_cache.invalidate
-            )
         if answer_cache is not None and answer_cache_size is not None:
             raise GuptError(
                 "pass either answer_cache or answer_cache_size, not both"
@@ -183,10 +155,9 @@ class GuptRuntime:
                 max_entries=answer_cache_size, metrics=metrics
             )
         self._answer_cache = answer_cache
-        # Both derived caches (block plans and published answers) hang
-        # off the same invalidation notification: one re-registration
-        # must evict both, or a version bump could leave a replayable
-        # answer keyed to records that no longer exist.
+        # A re-registration must evict the published answers too, or a
+        # version bump could leave a replayable answer keyed to records
+        # that no longer exist.
         self._answer_cache_unhook: Callable[[], None] | None = None
         if self._answer_cache is not None:
             self._answer_cache_unhook = self._datasets.add_invalidation_hook(
@@ -213,10 +184,6 @@ class GuptRuntime:
         return self._computation
 
     @property
-    def plan_cache(self) -> BlockPlanCache | None:
-        return self._plan_cache
-
-    @property
     def answer_cache(self) -> AnswerCache | None:
         return self._answer_cache
 
@@ -224,10 +191,10 @@ class GuptRuntime:
         """Release execution-backend resources (worker processes).
 
         A dataset manager the runtime built itself (``state_dir=`` or
-        default) is closed too, flushing its durable journal; a plan
-        cache drops its memoized materializations and unhooks itself
-        from the dataset manager (so a long-lived caller-owned manager
-        does not pin — or keep invoking — the dead cache).  Idempotent:
+        default) is closed too, flushing its durable journal; an answer
+        cache drops its entries and unhooks itself from the dataset
+        manager (so a long-lived caller-owned manager does not pin — or
+        keep invoking — the dead cache).  Idempotent:
         teardown paths overlap (context managers, ``GuptService.close``,
         ``atexit`` handlers), and only the first call releases anything.
         """
@@ -235,18 +202,11 @@ class GuptRuntime:
             return
         self._closed = True
         self._computation.close()
-        for unhook in (
-            self._plan_cache_unhook,
-            self._answer_cache_unhook,
-            self._sharded_unhook,
-        ):
+        for unhook in (self._answer_cache_unhook, self._sharded_unhook):
             if unhook is not None:
                 unhook()
-        self._plan_cache_unhook = None
         self._answer_cache_unhook = None
         self._sharded_unhook = None
-        if self._plan_cache is not None:
-            self._plan_cache.clear()
         if self._answer_cache is not None:
             self._answer_cache.clear()
         if self._owns_datasets:
@@ -374,8 +334,7 @@ class GuptRuntime:
             block_size=beta,
             resampling_factor=resampling_factor,
             rng=rng,
-            plan_cache=self._plan_cache,
-            cache_token=(dataset, registered.version),
+            registration=(dataset, registered.version),
             # The sharded path clamps inside the workers (the IPC
             # boundary must only ever carry clamped outputs); clamping
             # is idempotent, so re-clamping below never moves the value.
@@ -589,7 +548,7 @@ class GuptRuntime:
         try:
             engine = SampleAggregateEngine(self._computation, canonical_order)
             plan = None
-            cache_token = (dataset, registered.version)
+            registration = (dataset, registered.version)
             if group_by is not None:
                 labels = registered.table.column(group_by)
                 # Per-round block count, from the same ⌊n/β⌋ the
@@ -617,8 +576,7 @@ class GuptRuntime:
                         resampling_factor=resampling_factor,
                         rng=generator,
                         plan=plan,
-                        plan_cache=self._plan_cache,
-                        cache_token=cache_token,
+                        registration=registration,
                     )
                 sampled_holder["sampled"] = sampled
                 if needs_private_range:
@@ -661,8 +619,7 @@ class GuptRuntime:
                         resampling_factor=resampling_factor,
                         rng=generator,
                         plan=plan,
-                        plan_cache=self._plan_cache,
-                        cache_token=cache_token,
+                        registration=registration,
                         # Ranges are known here (tight/helper); the
                         # sharded path clamps block outputs inside the
                         # workers before they cross the shard boundary.

@@ -28,7 +28,6 @@ from repro.core.blocks import (
     default_block_size,
     draw_sharded_plan,
 )
-from repro.core.plan_cache import BlockPlanCache, PlanKey
 from repro.exceptions import ComputationError
 from repro.mechanisms.rng import RandomSource, as_generator
 from repro.runtime.computation_manager import ComputationManager
@@ -127,8 +126,7 @@ class SampleAggregateEngine:
         resampling_factor: int = 1,
         rng: RandomSource = None,
         plan: BlockPlan | None = None,
-        plan_cache: BlockPlanCache | None = None,
-        cache_token: tuple[str, int] | None = None,
+        registration: tuple[str, int] | None = None,
         output_ranges: Sequence[OutputRange] | None = None,
     ) -> SampledBlocks:
         """Partition the data and run the program on every block.
@@ -140,18 +138,15 @@ class SampleAggregateEngine:
         :mod:`repro.core.user_level`) overrides the default record-level
         partitioning.
 
-        ``cache_token`` — the owning dataset's ``(name, version)``
-        registration identity — opts this call into the memoizable plan
-        protocol: the plan's randomness is funneled through a single
-        ``plan_seed`` drawn from ``rng`` (one generator draw whether the
-        lookup hits or misses, so seeded releases are bit-identical with
-        and without a warm cache), and ``plan_cache``, when given,
-        memoizes the drawn plan plus its stacked materialization under
-        the data-independent :class:`PlanKey`.  The plan is drawn for
-        the manager's ``plan_shards`` logical shards — under the
-        ``sharded`` backend each shard plans and executes worker-locally
-        and only its block-output partial crosses back; every other
-        backend replays the identical combined plan in-process.
+        ``registration`` — the owning dataset's ``(name, version)``
+        identity — opts this call into the one-draw plan protocol: the
+        plan's randomness is funneled through a single ``plan_seed``
+        drawn from ``rng``, and the plan is drawn fresh from it for the
+        manager's ``plan_shards`` logical shards (Algorithm 1 draws a
+        new partition per query).  Under the ``sharded`` backend each
+        shard plans and executes worker-locally and only its
+        block-output partial crosses back; every other backend draws
+        the identical combined plan in-process.
 
         ``output_ranges``, when already known at sample time (GUPT-tight
         / -helper), lets the sharded path clamp block outputs inside the
@@ -163,7 +158,7 @@ class SampleAggregateEngine:
             # this branch must run before _as_matrix ever sees it.
             return self._sample_federated(
                 values, program, output_dimension, fallback, block_size,
-                resampling_factor, rng, plan, cache_token, output_ranges,
+                resampling_factor, rng, plan, registration, output_ranges,
             )
         values = self._as_matrix(values)
         stacked: np.ndarray | None = None
@@ -174,7 +169,7 @@ class SampleAggregateEngine:
                     f"{values.shape[0]}"
                 )
             stacked = plan.stack(values)
-        elif cache_token is not None:
+        elif registration is not None:
             num_records = values.shape[0]
             beta = (
                 int(block_size)
@@ -183,24 +178,28 @@ class SampleAggregateEngine:
             )
             # The one-draw protocol: exactly one value leaves the
             # caller's generator here, whatever happens downstream —
-            # cache hit or miss, sharded fast path or degrade — so the
-            # noise draws that follow (and the released bits of a seeded
-            # query) cannot depend on execution strategy.
+            # sharded fast path or degrade — so the noise draws that
+            # follow (and the released bits of a seeded query) cannot
+            # depend on execution strategy.
             generator = as_generator(rng)
             plan_seed = int(generator.integers(0, 2**63 - 1))
             if self._manager.backend in ("sharded", "remote"):
                 sampled = self._sample_sharded(
                     values, program, output_dimension, fallback, beta,
-                    resampling_factor, plan_seed, cache_token, output_ranges,
+                    resampling_factor, plan_seed, registration, output_ranges,
                 )
                 if sampled is not None:
                     return sampled
                 # Degrade (counted in sharded.fallbacks): replay the
                 # identical S-sharded plan through the chamber path.
-            plan, stacked = self._plan_via_cache(
-                values, beta, resampling_factor, plan_seed,
-                self._manager.plan_shards, plan_cache, cache_token,
+            plan = draw_sharded_plan(
+                num_records=num_records,
+                block_size=beta,
+                resampling_factor=resampling_factor,
+                plan_seed=plan_seed,
+                shards=self._manager.plan_shards,
             )
+            stacked = plan.stack(values)
         else:
             plan = BlockPlan.draw(
                 num_records=values.shape[0],
@@ -235,7 +234,7 @@ class SampleAggregateEngine:
         resampling_factor: int,
         rng: RandomSource,
         plan: BlockPlan | None,
-        cache_token: tuple[str, int] | None,
+        registration: tuple[str, int] | None,
         output_ranges: Sequence[OutputRange] | None,
     ) -> SampledBlocks:
         """Phase 1 for a federated dataset: curator nodes only.
@@ -252,10 +251,10 @@ class SampleAggregateEngine:
                 "federated datasets cannot use explicit block plans "
                 "(plans are drawn node-locally from the plan seed)"
             )
-        if cache_token is None:
+        if registration is None:
             raise ComputationError(
                 "federated datasets require a registered (name, version) "
-                "cache token"
+                "identity"
             )
         if self._manager.backend != "remote":
             raise ComputationError(
@@ -283,7 +282,7 @@ class SampleAggregateEngine:
         plan_seed = int(generator.integers(0, 2**63 - 1))
         sampled = self._sample_sharded(
             values, program, output_dimension, fallback, beta,
-            resampling_factor, plan_seed, cache_token, output_ranges,
+            resampling_factor, plan_seed, registration, output_ranges,
         )
         if sampled is None:
             raise ComputationError(
@@ -302,7 +301,7 @@ class SampleAggregateEngine:
         block_size: int,
         resampling_factor: int,
         plan_seed: int,
-        cache_token: tuple[str, int],
+        registration: tuple[str, int],
         output_ranges: Sequence[OutputRange] | None,
     ) -> SampledBlocks | None:
         """Phase 1 through the shard workers, or ``None`` to degrade.
@@ -322,8 +321,8 @@ class SampleAggregateEngine:
         result = self._manager.run_sharded_collected(
             program,
             values,
-            dataset=cache_token[0],
-            version=int(cache_token[1]),
+            dataset=registration[0],
+            version=int(registration[1]),
             block_size=block_size,
             resampling_factor=resampling_factor,
             plan_seed=plan_seed,
@@ -349,49 +348,6 @@ class SampleAggregateEngine:
                 row = np.asarray(self._canonical_order(row), dtype=float).ravel()
             rows.append(row)
         return np.vstack(rows)
-
-    @staticmethod
-    def _plan_via_cache(
-        values: np.ndarray,
-        block_size: int,
-        resampling_factor: int,
-        plan_seed: int,
-        shards: int,
-        plan_cache: BlockPlanCache | None,
-        cache_token: tuple[str, int],
-    ) -> tuple[BlockPlan, np.ndarray | None]:
-        """Draw (or recall) a plan under the memoizable-seed protocol.
-
-        The plan comes from a private generator derived from the
-        pre-drawn ``plan_seed`` (and, when ``shards > 1``, the sharded
-        derivation of :func:`draw_sharded_plan`), which is what makes
-        the cached entry reusable: the ``draw`` closure is a pure
-        function of the :class:`PlanKey`.
-        """
-        num_records = values.shape[0]
-        key = PlanKey(
-            dataset=cache_token[0],
-            version=int(cache_token[1]),
-            num_records=num_records,
-            block_size=block_size,
-            resampling_factor=int(resampling_factor),
-            seed=plan_seed,
-            shards=int(shards),
-        )
-
-        def draw() -> BlockPlan:
-            return draw_sharded_plan(
-                num_records=num_records,
-                block_size=block_size,
-                resampling_factor=resampling_factor,
-                plan_seed=plan_seed,
-                shards=shards,
-            )
-
-        if plan_cache is None:
-            plan = draw()
-            return plan, plan.stack(values)
-        return plan_cache.plan_and_stack(key, values, draw)
 
     # ------------------------------------------------------------------
     # Phase 2: aggregate
@@ -435,8 +391,7 @@ class SampleAggregateEngine:
         resampling_factor: int = 1,
         rng: RandomSource = None,
         plan: BlockPlan | None = None,
-        plan_cache: BlockPlanCache | None = None,
-        cache_token: tuple[str, int] | None = None,
+        registration: tuple[str, int] | None = None,
     ) -> SampleAggregateResult:
         """Algorithm 1 end-to-end for callers with a known output range."""
         generator = as_generator(rng)
@@ -451,8 +406,7 @@ class SampleAggregateEngine:
             resampling_factor=resampling_factor,
             rng=generator,
             plan=plan,
-            plan_cache=plan_cache,
-            cache_token=cache_token,
+            registration=registration,
             output_ranges=aggregator.ranges,
         )
         return self.aggregate(sampled, epsilon, output_ranges, rng=generator)

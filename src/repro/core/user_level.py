@@ -76,11 +76,13 @@ def grouped_plan(
             blocks.append(np.sort(np.concatenate(rows)))
 
     # Block sizes vary with group sizes; report the typical size for
-    # metadata purposes.
+    # metadata purposes.  Blocks that all came out the same size keep
+    # the rectangular index matrix the stacked execution path gathers.
     typical = int(round(labels.size / num_blocks))
+    uniform = len({block.size for block in blocks}) == 1
     return BlockPlan(
         num_records=int(labels.size),
         block_size=max(1, typical),
         resampling_factor=resampling_factor,
-        blocks=tuple(blocks),
+        blocks=np.vstack(blocks) if uniform else tuple(blocks),
     )

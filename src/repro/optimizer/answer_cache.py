@@ -38,9 +38,7 @@ bypass the cache — they still run correctly, they just never hit.
 
 Keys are built exclusively from analyst-supplied public parameters and
 registration metadata — never from records or block outputs — so the
-cache's internal state is release-safe by construction, like
-:class:`~repro.core.plan_cache.BlockPlanCache` whose keying discipline
-this module mirrors.
+cache's internal state is release-safe by construction.
 """
 
 from __future__ import annotations
@@ -324,9 +322,9 @@ class AnswerCache:
     def invalidate(self, dataset: str) -> int:
         """Drop every answer for ``dataset`` (any version).
 
-        Wired into :meth:`DatasetManager.add_invalidation_hook` alongside
-        the block-plan cache, so one re-registration evicts both caches
-        in the same notification.  Version-keyed lookups already make
+        Wired into :meth:`DatasetManager.add_invalidation_hook`, so a
+        re-registration evicts the dataset's answers as it happens.
+        Version-keyed lookups already make
         stale *hits* impossible; eviction frees the entries eagerly.
         """
         with self._lock:

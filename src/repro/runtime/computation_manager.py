@@ -263,8 +263,7 @@ class ComputationManager:
 
         A public plan parameter (like block size): released bits are a
         function of it, and of nothing else about the deployment —
-        physical worker counts, backend choice and cache state never
-        move them.
+        physical worker counts and backend choice never move them.
         """
         return self._plan_shards
 
@@ -377,16 +376,7 @@ class ComputationManager:
         # Chamber/pool path (including a counted vectorized degrade):
         # run the per-block contract, then collect to matrix form.
         if blocks is None:
-            if stacked is None:
-                blocks = []
-            elif stacked.flags.writeable:
-                blocks = list(stacked)
-            else:
-                # Frozen stacked arrays are shared plan-cache entries;
-                # chambers run programs that may legitimately mutate
-                # their block in place, so hand each one a per-query
-                # copy — mutation degrades to a copy, never corruption.
-                blocks = [np.array(block) for block in stacked]
+            blocks = [] if stacked is None else list(stacked)
         executions = self._run_blocks_impl(
             program, blocks, output_dimension, fallback, stacked, try_batch=False
         )
@@ -472,9 +462,6 @@ class ComputationManager:
         summary, batch = self._sharded.run_sharded(program_bytes, values, spec)
         succeeded = int(batch.succeeded.sum())
         self._count_outcomes(metrics, batch.num_blocks, succeeded, killed=0)
-        metrics.histogram("blocks.latency_seconds").observe_many(
-            [batch.per_block_elapsed] * batch.num_blocks
-        )
         if succeeded == 0:
             raise ComputationError(self._all_failed_message(output_dimension))
         return summary, batch
@@ -575,9 +562,6 @@ class ComputationManager:
             time.perf_counter() - started
         )
         metrics.histogram("vectorized.blocks_per_batch").observe(batch.num_blocks)
-        metrics.histogram("blocks.latency_seconds").observe_many(
-            [batch.per_block_elapsed] * batch.num_blocks
-        )
         return batch
 
     # -- chamber backends (serial / thread) ------------------------------

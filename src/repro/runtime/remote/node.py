@@ -57,15 +57,9 @@ import threading
 import numpy as np
 
 from repro.core.blocks import shard_offsets
-from repro.core.plan_cache import BlockPlanCache
 from repro.exceptions import GuptError
-from repro.observability import MetricsRegistry
 from repro.runtime.remote import wire
-from repro.runtime.shard import (
-    DEFAULT_RESIDENT_DATASETS,
-    DEFAULT_WORKER_PLAN_ENTRIES,
-    execute_shard_rows,
-)
+from repro.runtime.shard import DEFAULT_RESIDENT_DATASETS, execute_shard_rows
 from repro.testing import failpoints
 
 #: Sites every message (and every outgoing partial) passes through.
@@ -108,8 +102,6 @@ class ShardNodeServer:
         never race for a probed port.
     resident_datasets:
         LRU bound on ``(dataset, version)`` entries kept in memory.
-    plan_cache_entries:
-        Shard-local plan cache size (plans + stacked materializations).
     secret:
         Shared authentication secret.  When set, every coordinator must
         complete the HMAC challenge-response before any non-handshake
@@ -127,16 +119,12 @@ class ShardNodeServer:
         host: str = "127.0.0.1",
         port: int = 0,
         resident_datasets: int = DEFAULT_RESIDENT_DATASETS,
-        plan_cache_entries: int = DEFAULT_WORKER_PLAN_ENTRIES,
         secret: str | None = None,
         curated: dict[str, np.ndarray] | None = None,
     ):
         self._host = host
         self._port = port
         self._resident_datasets = max(1, int(resident_datasets))
-        self._plan_cache = BlockPlanCache(
-            max_entries=plan_cache_entries, metrics=MetricsRegistry()
-        )
         self._secret = secret if secret else None
         self._curated: dict[str, np.ndarray] = {}
         for name, rows in (curated or {}).items():
@@ -204,6 +192,12 @@ class ShardNodeServer:
         self._halted.set()
         listener, self._listener = self._listener, None
         if listener is not None:
+            # Closing a listening socket does not wake a thread blocked
+            # in accept() on Linux; shutting it down does.
+            try:
+                listener.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass
             try:
                 listener.close()
             except OSError:
@@ -517,7 +511,7 @@ class ShardNodeServer:
                 )
                 continue
             outputs, succeeded, elapsed = execute_shard_rows(
-                rows, spec, shard, program_bytes, self._plan_cache
+                rows, spec, shard, program_bytes
             )
             meta, body = wire.array_to_body(outputs)
             _hit_failpoints()

@@ -59,7 +59,6 @@ from repro.exceptions import (
 )
 from repro.mechanisms.rng import RandomSource
 from repro.observability import MetricsRegistry, get_registry
-from repro.optimizer.fusion import DEFAULT_FUSION_LIMIT, default_fusion_key
 from repro.optimizer.svt import SparseVector
 from repro.runtime.computation_manager import ComputationManager
 from repro.runtime.scheduler import QueryHandle, QueryScheduler
@@ -233,9 +232,7 @@ class GuptService:
         queue_depth: int = 64,
         query_timeout: float | None = None,
         state_dir: str | None = None,
-        plan_cache_size: int | None = None,
         answer_cache_size: int | None = None,
-        fusion_limit: int | None = None,
         max_svt_sessions: int = 64,
     ):
         self._metrics = metrics
@@ -244,10 +241,6 @@ class GuptService:
         # a crashed predecessor is recovered conservatively before any
         # query can run — see repro.accounting.journal.
         self._datasets = DatasetManager(metrics=metrics, state_dir=state_dir)
-        # plan_cache_size bounds the runtime's memoized block plans
-        # (0 disables caching); re-registration invalidates via the
-        # dataset manager's hooks, so owners rotating a dataset name
-        # never leave stale materializations behind.
         # answer_cache_size > 0 turns on the noisy-answer cache: repeat
         # seeded queries replay the published release at zero marginal ε
         # (see repro.optimizer.answer_cache); off by default.
@@ -262,7 +255,6 @@ class GuptService:
             shards=shards,
             nodes=nodes,
             node_secret=node_secret,
-            plan_cache_size=plan_cache_size,
             answer_cache_size=answer_cache_size,
         )
         self._principals: dict[str, Principal] = {}
@@ -274,18 +266,11 @@ class GuptService:
         self._svt_lock = threading.Lock()
         # The scheduler (and its worker threads) is created lazily on the
         # first async submission, so purely blocking users pay nothing.
-        # fusion_limit > 1 lets one scheduler worker drain adjacent
-        # same-dataset/same-plan seeded queries back-to-back (see
-        # repro.optimizer.fusion) — released bits are unaffected.
-        if fusion_limit is not None and fusion_limit < 1:
-            raise GuptError("fusion_limit must be >= 1 (or None to disable)")
         self._scheduler_config = dict(
             workers=scheduler_workers,
             max_inflight=max_inflight,
             queue_depth=queue_depth,
             query_timeout=query_timeout,
-            fusion_key=default_fusion_key if fusion_limit else None,
-            fusion_limit=fusion_limit or DEFAULT_FUSION_LIMIT,
         )
         self._scheduler: QueryScheduler | None = None
         self._scheduler_lock = threading.Lock()

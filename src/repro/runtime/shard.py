@@ -15,10 +15,8 @@ shared-memory machinery of :mod:`repro.runtime.pool`:
   parameters — no record data moves after registration.
 * **Shard-local planning and execution.**  Each shard draws its own
   block plan from ``spawn(plan_seed, S)[s]`` (the protocol of
-  :func:`repro.core.blocks.draw_sharded_plan`), memoizes the plan and
-  its stacked materialization in a *worker-local*
-  :class:`~repro.core.plan_cache.BlockPlanCache`, and runs the program —
-  vectorized ``run_batch`` when the program declares one, per-block
+  :func:`repro.core.blocks.draw_sharded_plan`), gathers its stacked
+  materialization, and runs the program — vectorized ``run_batch`` when the program declares one, per-block
   fresh-instance execution otherwise — entirely inside the worker.
 * **Partials-only combine.**  The only payload a worker ever sends back
   is the ``(l_s, p)`` matrix of block outputs (clamped to the declared
@@ -66,7 +64,6 @@ from repro.core.blocks import (
     shard_block_counts,
     shard_offsets,
 )
-from repro.core.plan_cache import BlockPlanCache, PlanKey
 from repro.exceptions import ComputationError
 from repro.observability import MetricsRegistry, get_registry
 from repro.runtime.pool import WorkerHandle, silence_shm_tracking
@@ -80,9 +77,6 @@ from repro.runtime.vectorized import (
 #: Datasets resident in shard workers at once (coordinator-side LRU of
 #: shared-memory segments; worker caches follow the forget messages).
 DEFAULT_RESIDENT_DATASETS = 4
-
-#: Plan-cache entries per worker (local plans + stacked materializations).
-DEFAULT_WORKER_PLAN_ENTRIES = 8
 
 
 @dataclass(frozen=True)
@@ -118,7 +112,6 @@ def execute_shard_rows(
     spec: ShardQuerySpec,
     shard: int,
     program_bytes: bytes,
-    plan_cache: BlockPlanCache,
 ) -> tuple[np.ndarray, np.ndarray, float]:
     """Plan, materialize and run one logical shard; returns its partial.
 
@@ -130,37 +123,23 @@ def execute_shard_rows(
     computes the identical partial.  The returned outputs are already
     clamped when the spec carries ranges.
     """
-    num_local = int(local_values.shape[0])
-    key = PlanKey(
-        dataset=spec.dataset,
-        version=spec.version,
-        num_records=spec.num_records,
-        block_size=spec.block_size,
-        resampling_factor=spec.resampling_factor,
-        seed=spec.plan_seed,
-        shards=spec.shards,
-        shard=shard,
+    plan = draw_shard_local_plan(
+        int(local_values.shape[0]),
+        spec.block_size,
+        spec.resampling_factor,
+        spec.plan_seed,
+        spec.shards,
+        shard,
     )
-
-    def draw():
-        return draw_shard_local_plan(
-            num_local,
-            spec.block_size,
-            spec.resampling_factor,
-            spec.plan_seed,
-            spec.shards,
-            shard,
-        )
-
-    plan, stacked = plan_cache.plan_and_stack(key, local_values, draw)
-    fallback = np.asarray(spec.fallback, dtype=float)
-    if stacked is None:  # empty shard: no full block fits
+    if plan.num_blocks == 0:  # empty shard: no full block fits
         return (
             np.empty((0, spec.output_dimension), dtype=float),
             np.empty(0, dtype=bool),
             0.0,
         )
 
+    stacked = plan.stack(local_values)
+    fallback = np.asarray(spec.fallback, dtype=float)
     program = pickle.loads(program_bytes)
     batch: BatchOutputs | None = None
     if supports_batch(program):
@@ -188,12 +167,11 @@ def _execute_shard(
     spec: ShardQuerySpec,
     shard: int,
     program_bytes: bytes,
-    plan_cache: BlockPlanCache,
 ) -> tuple[np.ndarray, np.ndarray, float]:
     """Slice one shard out of the full segment and execute it."""
     offsets = shard_offsets(spec.num_records, spec.shards)
     local_values = values[int(offsets[shard]) : int(offsets[shard + 1])]
-    return execute_shard_rows(local_values, spec, shard, program_bytes, plan_cache)
+    return execute_shard_rows(local_values, spec, shard, program_bytes)
 
 
 def _shard_worker(conn) -> None:
@@ -212,12 +190,6 @@ def _shard_worker(conn) -> None:
     """
     silence_shm_tracking()
     segments: dict = {}  # dskey -> (SharedMemory, ndarray)
-    # Worker-local registries: forked copies of the parent's metrics are
-    # invisible to it, so give the cache a private registry instead of
-    # mutating a ghost.
-    plan_cache = BlockPlanCache(
-        max_entries=DEFAULT_WORKER_PLAN_ENTRIES, metrics=MetricsRegistry()
-    )
     while True:
         try:
             message = conn.recv()
@@ -253,7 +225,7 @@ def _shard_worker(conn) -> None:
                 conn.send(("partial-missing", qid, shard))
                 continue
             outputs, succeeded, elapsed = _execute_shard(
-                entry[1], spec, shard, program_bytes, plan_cache
+                entry[1], spec, shard, program_bytes
             )
             conn.send(("partial", qid, shard, outputs, succeeded, elapsed))
         conn.send(("query-done", qid))
@@ -640,6 +612,5 @@ __all__ = [
     "ShardedExecutionBackend",
     "ShardQuerySpec",
     "DEFAULT_RESIDENT_DATASETS",
-    "DEFAULT_WORKER_PLAN_ENTRIES",
     "execute_shard_rows",
 ]

@@ -32,8 +32,8 @@ defense it cannot reproduce:
   per-block instance freshness is vacuous; the program instance is
   still pickle-round-tripped once per query so no state survives
   *across* queries, and the batch call only ever receives a *read-only*
-  view of the stacked blocks, so in-place mutation cannot carry state
-  across queries through a shared plan-cache entry either.
+  view of the stacked blocks, so a batch form that mutates its input
+  cannot corrupt the blocks the chamber path falls back to.
 * *timing attack* — per-block kill-and-pad semantics cannot be applied
   to a single fused call, so whenever a cycle budget is configured the
   manager transparently degrades to the chamber path (counted in
@@ -60,7 +60,7 @@ class BatchOutputs:
     The fast path's native product — and the collected form of a
     chamber run.  Keeping outcomes as one ``(l, p)`` matrix plus a
     success mask (instead of ``l`` execution records) is what lets a
-    warm-cache vectorized query stay O(1) in Python-object work.
+    vectorized query stay O(1) in Python-object work.
     """
 
     outputs: np.ndarray  # (l, p); malformed rows already substituted
@@ -75,8 +75,9 @@ class BatchOutputs:
     def per_block_elapsed(self) -> float:
         """The batch wall-clock spread evenly across blocks.
 
-        Per-block latency telemetry stays comparable across backends
-        and stays just as data-independent as the fused call's total.
+        Only the per-block records of :meth:`to_executions` carry it:
+        it is an average, not a measurement, so telemetry records the
+        batch once, in ``vectorized.batch_seconds``.
         """
         return self.elapsed / max(1, self.num_blocks)
 
@@ -157,12 +158,9 @@ def run_batch_blocks(
     fallback = np.asarray(fallback, dtype=float).ravel()
     num_blocks = int(stacked.shape[0])
     instance = _fresh_instance(program)
-    # The program sees a read-only view: the stacked array may be a
-    # cache entry shared across queries, and released bits must never
-    # depend on cache state.  Freezing unconditionally keeps behavior
-    # identical on cold and warm caches — a batch form that mutates its
-    # input raises here and degrades to the chamber path (which hands
-    # such programs per-query copies) instead of corrupting anything.
+    # The program sees a read-only view: a batch form that mutates its
+    # input raises here and degrades to the chamber path, which then
+    # runs on the blocks exactly as they were gathered.
     readonly = stacked.view()
     readonly.flags.writeable = False
     started = time.perf_counter()

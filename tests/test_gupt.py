@@ -14,6 +14,7 @@ from repro.exceptions import (
     InvalidPrivacyParameter,
     PrivacyBudgetExhausted,
 )
+from repro.observability import MetricsRegistry
 
 
 @pytest.fixture
@@ -272,3 +273,83 @@ class TestResampling:
             block_size=100, resampling_factor=4,
         )
         assert resampled.noise_scales[0] == pytest.approx(plain.noise_scales[0])
+
+
+class TestPlansDrawnFresh:
+    """Every query draws and gathers its own plan (Algorithm 1)."""
+
+    @staticmethod
+    def _runtime(table, **kwargs):
+        manager = DatasetManager()
+        manager.register("d", table, total_budget=100.0)
+        return GuptRuntime(manager, rng=0, **kwargs)
+
+    @staticmethod
+    def _uniform_table():
+        values = np.random.default_rng(5).uniform(1.0, 10.0, size=(96, 1))
+        return DataTable(values, column_names=("x",))
+
+    def test_seeded_release_independent_of_backend(self):
+        released = {}
+        for backend in ("serial", "thread", "vectorized"):
+            with self._runtime(self._uniform_table(), backend=backend) as runtime:
+                released[backend] = runtime.run(
+                    "d", Mean(), TightRange((0.0, 10.0)), epsilon=0.5,
+                    block_size=8, rng=42,
+                ).scalar()
+        assert released["serial"] == released["thread"] == released["vectorized"]
+
+    def test_mutating_program_cannot_corrupt_the_next_querys_release(self):
+        # A program that reads its block and then zeroes it in place
+        # only ever touches this query's own gather: the next query with
+        # the same seed releases the same bits, and the registered
+        # records are untouched.
+        class ReadThenZero:
+            output_dimension = 1
+
+            def __call__(self, block):
+                out = float(np.mean(block))
+                block[...] = 0.0
+                return out
+
+        table = self._uniform_table()
+        before = table.values.copy()
+        with self._runtime(table, backend="vectorized") as runtime:
+            first, second = (
+                runtime.run(
+                    "d", ReadThenZero(), TightRange((0.0, 10.0)), epsilon=0.5,
+                    block_size=8, rng=42,
+                ).scalar()
+                for _ in range(2)
+            )
+            assert first == second
+            assert np.array_equal(
+                runtime.dataset_manager.get("d").table.values, before
+            )
+
+    @pytest.mark.parametrize(
+        "group_sizes, ragged",
+        [([8] * 12, False), ([30, 5, 5, 5, 5, 5, 5, 5, 5, 5, 5, 16], True)],
+        ids=["uniform", "ragged"],
+    )
+    def test_grouped_plans_run_on_every_backend(self, group_sizes, ragged):
+        # Equal groups balance into a rectangular index matrix (the
+        # stacked path); one oversized group leaves a ragged plan, which
+        # the vectorized backend runs block by block.
+        rng = np.random.default_rng(5)
+        labels = np.repeat(np.arange(len(group_sizes)), group_sizes).astype(float)
+        table = DataTable(
+            np.column_stack([rng.uniform(0, 10, size=labels.size), labels]),
+            column_names=("x", "user"),
+        )
+        released = {}
+        registry = MetricsRegistry()
+        for backend in ("serial", "vectorized"):
+            with self._runtime(table, backend=backend, metrics=registry) as runtime:
+                released[backend] = runtime.run(
+                    "d", Mean(), TightRange((0.0, 10.0)), epsilon=0.5,
+                    block_size=16, group_by="user", rng=42,
+                ).scalar()
+        assert released["serial"] == released["vectorized"]
+        counters = registry.snapshot()["counters"]
+        assert ('vectorized.fallbacks{reason="ragged_blocks"}' in counters) == ragged

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import socket
 import struct
+import sys
 import threading
 import time
 import zlib
@@ -709,6 +710,23 @@ class TestFrameReadDeadline:
 
 
 class TestNodeSessionRobustness:
+    def test_idle_stop_is_prompt_and_joins_the_serve_thread(self):
+        """stop() must wake a serve loop blocked in accept()."""
+        server = ShardNodeServer(host="127.0.0.1", port=0)
+        server.start()
+        thread = server._thread
+        # Stop only once the serve loop is parked inside accept(): wait
+        # for its frame, then give the call time to enter the kernel.
+        deadline = time.monotonic() + 5.0
+        while sys._current_frames()[thread.ident].f_code.co_name != "accept":
+            assert time.monotonic() < deadline, "serve loop never reached accept()"
+            time.sleep(0.001)
+        time.sleep(0.05)
+        started = time.monotonic()
+        server.stop()
+        assert time.monotonic() - started < 0.1
+        assert not thread.is_alive()
+
     def test_new_coordinator_preempts_idle_dead_session(self):
         """A coordinator that died without FIN must not wedge the node.
 

@@ -21,7 +21,6 @@ from repro.core.blocks import (
     shard_offsets,
 )
 from repro.core.gupt import GuptRuntime
-from repro.core.plan_cache import BlockPlanCache, PlanKey, slice_stacked_for_shard
 from repro.core.range_estimation import TightRange
 from repro.datasets.table import DataTable
 from repro.estimators.statistics import Mean
@@ -165,6 +164,8 @@ class TestDeterminismMatrix:
         counters = metrics.snapshot()["counters"]
         assert counters["shard.queries"] == 1
         assert not any(k.startswith("sharded.fallbacks") for k in counters)
+        # Workers report one elapsed time per shard, not per block.
+        assert "blocks.latency_seconds" not in metrics.snapshot()["histograms"]
 
 
 class TestCombineProtocol:
@@ -188,23 +189,19 @@ class TestCombineProtocol:
             base += local.num_blocks
         assert [list(map(int, b)) for b in combined.blocks] == rebuilt
 
-    def test_slice_stacked_matches_worker_local_stack(self):
-        """The coordinator's combined stack slices into exactly the
-        worker-local materializations — the equivalence the partials-only
-        combine rests on."""
+    def test_combined_stack_rows_match_worker_local_stacks(self):
+        """The coordinator's combined stack splits, at the public
+        per-shard block counts, into exactly the worker-local
+        materializations — the equivalence the partials-only combine
+        rests on."""
         values = _values(600)
         shards = 3
-        cache = BlockPlanCache(metrics=MetricsRegistry())
-        combined_key = PlanKey(
-            dataset="d", version=1, num_records=600, block_size=BLOCK_SIZE,
-            resampling_factor=1, seed=5, shards=shards,
-        )
-        _, combined_stacked = cache.plan_and_stack(
-            combined_key, values,
-            lambda: draw_sharded_plan(
-                600, block_size=BLOCK_SIZE, plan_seed=5, shards=shards
-            ),
-        )
+        combined_stacked = draw_sharded_plan(
+            600, block_size=BLOCK_SIZE, plan_seed=5, shards=shards
+        ).stack(values)
+        counts = shard_block_counts(600, BLOCK_SIZE, 1, shards)
+        bounds = np.concatenate([[0], np.cumsum(counts)])
+        assert bounds[-1] == combined_stacked.shape[0]
         offsets = shard_offsets(600, shards)
         for shard in range(shards):
             local_values = values[int(offsets[shard]) : int(offsets[shard + 1])]
@@ -216,7 +213,7 @@ class TestCombineProtocol:
                 [local_values[list(block)] for block in local_plan.blocks]
             )
             np.testing.assert_array_equal(
-                slice_stacked_for_shard(combined_stacked, combined_key, shard),
+                combined_stacked[bounds[shard] : bounds[shard + 1]],
                 local_stacked,
             )
 
