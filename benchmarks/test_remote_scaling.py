@@ -14,11 +14,11 @@ Two claims are asserted:
   rows once, warm queries move only plans, programs and ``(l_s, p)``
   partials, so ``remote.segment_pushes`` stays at ``S`` across repeats.
 
-``REMOTE_SCALE=smoke`` shrinks the sweep for CI.  Remote transport on
-one box is strictly overhead versus shared memory — the interesting
-numbers are the per-query wire cost (warm remote vs warm sharded) and
-the cold-vs-warm gap (segment push amortization), both recorded in the
-report; no speedup is asserted.
+``REMOTE_SCALE=smoke`` shrinks the sweep for CI.  TCP on one box is
+strictly overhead versus the socketpairs of the sharded backend's
+forked nodes — the interesting numbers are the per-query wire cost
+(warm remote vs warm sharded) and the cold-vs-warm gap (segment push
+amortization), both recorded in the report; no speedup is asserted.
 """
 
 import os

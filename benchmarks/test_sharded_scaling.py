@@ -1,9 +1,9 @@
 """Bench: sharded execution engine — scaling past one process.
 
 The sharded backend splits a registered dataset into ``S`` contiguous
-logical shards owned by ``K`` persistent worker processes, plans and
-executes blocks shard-locally, and ships only the clamped ``(l_s, p)``
-block-output partials back to the coordinator.  This bench sweeps
+logical shards owned by ``K`` forked local node processes (reached over
+socketpairs), plans and executes blocks shard-locally, and ships only
+the clamped ``(l_s, p)`` block-output partials back to the coordinator.  This bench sweeps
 worker counts at a fixed public shard count against the single-process
 baselines and writes ``BENCH_sharded.json``.
 
@@ -86,7 +86,7 @@ def _run_config(num_records: int, backend: str, workers: int | None,
     counters = registry.snapshot()["counters"]
     if backend == "sharded":
         # Prove the partials-only fast path ran — no silent degrade.
-        assert counters.get("shard.queries", 0) >= 1 + REPEATS
+        assert counters.get("remote.queries", 0) >= 1 + REPEATS
         assert not any(k.startswith("sharded.fallbacks") for k in counters)
     return {
         "backend": backend,

@@ -85,11 +85,12 @@ def _add_query_arguments(parser: argparse.ArgumentParser) -> None:
              "worker processes with zero-copy block dispatch; vectorized "
              "= one fused numpy call over the stacked blocks for "
              "programs declaring a batch form, bit-identical to serial; "
-             "sharded = shard-owning worker processes with shard-local "
-             "block plans and a partials-only combine, bit-identical to "
-             "serial for the same --shards; remote = the sharded engine "
-             "over TCP shard-node processes — see --nodes and the "
-             "shard-node command — still bit-identical at fixed --shards)",
+             "sharded = local shard-node processes, forked on first use "
+             "and reached over socketpairs, with shard-local block plans "
+             "and a partials-only combine, bit-identical to serial for "
+             "the same --shards; remote = the same coordinator over TCP "
+             "shard-node processes — see --nodes and the shard-node "
+             "command — still bit-identical at fixed --shards)",
     )
     parser.add_argument(
         "--workers", type=int, default=None,

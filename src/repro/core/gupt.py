@@ -163,10 +163,11 @@ class GuptRuntime:
             self._answer_cache_unhook = self._datasets.add_invalidation_hook(
                 self._answer_cache.invalidate
             )
-        # The sharded backend keeps registered datasets resident in
-        # shared memory; re-registering a name must evict the stale
-        # segments eagerly (version-keyed descriptors already make stale
-        # *use* impossible — this frees the memory).
+        # The shard coordinator keeps registered datasets resident (and
+        # remembers which node holds which segment); re-registering a
+        # name must evict the stale copies eagerly (version-keyed
+        # segments already make stale *use* impossible — this frees the
+        # memory).
         self._sharded_unhook: Callable[[], None] | None = None
         sharded = self._computation.sharded_backend
         if sharded is not None:

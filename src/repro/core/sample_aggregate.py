@@ -304,9 +304,9 @@ class SampleAggregateEngine:
         registration: tuple[str, int],
         output_ranges: Sequence[OutputRange] | None,
     ) -> SampledBlocks | None:
-        """Phase 1 through the shard workers, or ``None`` to degrade.
+        """Phase 1 through the shard nodes, or ``None`` to degrade.
 
-        Workers only receive clamp bounds when no canonical-order hook
+        Nodes only receive clamp bounds when no canonical-order hook
         is installed: the single-process order is reorder-then-clamp
         (hook in :meth:`sample`, clamp in :meth:`aggregate`), and
         clamping per-dimension ranges does not commute with reordering,

@@ -36,27 +36,26 @@ Three execution backends trade isolation strength against dispatch cost:
     to the chamber path (serial at one worker, chunked threads
     otherwise), counted per reason in ``vectorized.fallbacks``.
 ``sharded``
-    :class:`~repro.runtime.shard.ShardedExecutionBackend` — the dataset
-    is split into ``S`` contiguous logical shards owned by persistent
-    worker processes; each shard plans and executes its blocks locally
-    and ships back only its ``(l_s, p)`` partial of clamped block
-    outputs.  The logical shard count is a *public plan parameter*
-    (``plan_shards``): every backend of a manager configured with
-    ``shards=S`` draws the same S-sharded combined plan, so releases
-    are bit-identical whether the shards run in-process or across
-    workers.  Queries the shard protocol cannot carry — an active
-    timing defense, unpicklable programs, explicit (grouped) plans —
-    degrade to the combined-plan chamber path, counted per reason in
-    ``sharded.fallbacks``.
+    The shard coordinator, :class:`~repro.runtime.remote.RemoteShardBackend`,
+    over ``min(K, S)`` local node processes forked on first use, each
+    serving one end of a socketpair.  The dataset is split into ``S``
+    contiguous logical shards; each node receives its shards' rows as
+    ``SEGMENT`` frames, plans and executes its blocks locally and ships
+    back only its ``(l_s, p)`` partial of clamped block outputs.  The
+    logical shard count is a *public plan parameter* (``plan_shards``):
+    every backend of a manager configured with ``shards=S`` draws the
+    same S-sharded combined plan, so releases are bit-identical whether
+    the shards run in-process or on nodes.  Queries the shard protocol
+    cannot carry — an active timing defense, unpicklable programs,
+    explicit (grouped) plans — degrade to the combined-plan chamber
+    path, counted per reason in ``sharded.fallbacks``.
 ``remote``
-    :class:`~repro.runtime.remote.RemoteShardBackend` — the sharded
-    engine with the pipe/shared-memory transport replaced by TCP
-    shard-node processes speaking the framed binary protocol of
-    :mod:`repro.runtime.remote.wire`.  Same shard-local plans, same
-    partials-only combine, same degrade reasons (counted in
-    ``sharded.fallbacks`` — the shard protocol is transport-agnostic),
-    so releases stay bit-identical to every in-process backend at the
-    same ``S``, for any node count and across single-node failures.
+    The same coordinator over TCP shard-node processes (an existing
+    cluster, or nodes it spawns), speaking the framed binary protocol
+    of :mod:`repro.runtime.remote.wire`.  Same shard-local plans, same
+    partials-only combine, same degrade reasons, so releases stay
+    bit-identical to every in-process backend at the same ``S``, for
+    any node count and across single-node failures.
 
 The manager is also an instrumentation point (see
 :mod:`repro.observability`): per-block latency, success/fallback/kill
@@ -87,7 +86,7 @@ from repro.runtime.sandbox import (
     InProcessChamber,
 )
 from repro.runtime.remote import RemoteShardBackend
-from repro.runtime.shard import ShardedExecutionBackend, ShardQuerySpec
+from repro.runtime.shard import ShardQuerySpec
 from repro.runtime.timing import TimingDefense
 from repro.runtime.vectorized import (
     BatchOutputs,
@@ -142,18 +141,17 @@ class ComputationManager:
         *public plan parameter* that applies to **every** backend: a
         manager with ``shards=4`` draws 4-sharded combined plans whether
         it executes them serially, through threads, the pool, the
-        vectorized path, or shard workers.  That is what makes the
+        vectorized path, or shard nodes.  That is what makes the
         determinism matrix possible — fix ``shards`` and vary the
         backend, and the released bits do not move.  Defaults to ``1``
         (the legacy single-plan protocol, bit-compatible with earlier
         releases) except under ``backend="sharded"``, where it defaults
         to one logical shard per worker.
     sharded:
-        A pre-built :class:`ShardedExecutionBackend` (or
-        :class:`~repro.runtime.remote.RemoteShardBackend` — they share
-        the ``run_sharded`` contract) for the ``sharded``/``remote``
-        backends; ``None`` constructs one on demand.  Its logical shard
-        count must agree with ``shards`` when both are given.
+        A pre-built :class:`~repro.runtime.remote.RemoteShardBackend`
+        for the ``sharded``/``remote`` backends; ``None`` constructs one
+        on demand.  Its logical shard count must agree with ``shards``
+        when both are given.
     nodes:
         For ``backend="remote"``: where the shard nodes are — a list of
         ``(host, port)`` / ``"host:port"`` addresses for an existing
@@ -176,7 +174,7 @@ class ComputationManager:
         pool: PoolChamberBackend | None = None,
         timing: TimingDefense | None = None,
         shards: int | None = None,
-        sharded: ShardedExecutionBackend | RemoteShardBackend | None = None,
+        sharded: RemoteShardBackend | None = None,
         nodes: int | list | None = None,
         node_secret: str | None = None,
     ):
@@ -228,10 +226,16 @@ class ComputationManager:
                     secret=node_secret,
                 )
             else:
-                self._sharded = ShardedExecutionBackend(
+                # K local nodes, never more than there are shards to own.
+                # A forked node's death shows up as EOF on its socketpair,
+                # so no liveness deadline cuts a slow shard short.
+                self._sharded = RemoteShardBackend(
                     shards=self._plan_shards,
-                    workers=max_workers,
+                    nodes=min(max_workers, self._plan_shards),
                     metrics=metrics,
+                    node_spawn="fork",
+                    node_timeout=None,
+                    heartbeat_interval=None,
                 )
         else:
             self._plan_shards = shards if shards is not None else 1
@@ -253,8 +257,8 @@ class ComputationManager:
         return self._pool
 
     @property
-    def sharded_backend(self) -> ShardedExecutionBackend | RemoteShardBackend | None:
-        """The shard-protocol executor: in-process workers or remote nodes."""
+    def sharded_backend(self) -> RemoteShardBackend | None:
+        """The shard coordinator: over forked local nodes or TCP nodes."""
         return self._sharded
 
     @property
@@ -290,8 +294,8 @@ class ComputationManager:
         Teardown paths overlap (``GuptRuntime.close``, context managers,
         test fixtures), so closing twice must be safe: the pool backend
         tears down only the workers it currently has (a second close
-        finds none), and the sharded backend releases its processes and
-        shared-memory segments exactly once behind its own guard.
+        finds none), and the shard coordinator ends its sessions and
+        reaps its nodes exactly once behind its own guard.
         Backends passed in by the caller are never closed here — they
         stay the caller's to close.
         """
@@ -306,31 +310,6 @@ class ComputationManager:
     def __exit__(self, *exc_info) -> None:
         self.close()
 
-    def run_blocks(
-        self,
-        program: AnalystProgram,
-        blocks: Sequence[np.ndarray],
-        output_dimension: int,
-        fallback: np.ndarray,
-        stacked: np.ndarray | None = None,
-    ) -> list[BlockExecution]:
-        """Run ``program`` on every block; one outcome per block, in order.
-
-        ``stacked``, when given, is the ``(l, block_size, d)`` stacked
-        view of exactly the same ``blocks`` (as produced by
-        :meth:`BlockPlan.stack`); the vectorized backend consumes it
-        directly instead of re-stacking, the other backends ignore it.
-
-        Raises :class:`ComputationError` only when *every* block failed,
-        which signals a systemic problem (wrong output dimension, program
-        that always crashes) rather than a data-dependent one.  Partial
-        failures are kept as fallback outputs — turning them into errors
-        would create the exact side channel the chambers exist to close.
-        """
-        return self._run_blocks_impl(
-            program, blocks, output_dimension, fallback, stacked, try_batch=True
-        )
-
     def run_blocks_collected(
         self,
         program: AnalystProgram,
@@ -339,19 +318,24 @@ class ComputationManager:
         blocks: Sequence[np.ndarray] | None = None,
         stacked: np.ndarray | None = None,
     ) -> BatchOutputs:
-        """Run every block and return the outcomes in matrix form.
+        """Run ``program`` on every block; the ``(l, p)`` outputs in order.
 
-        Same semantics as :meth:`run_blocks` — same telemetry, same
-        all-blocks-failed error, same per-block fallback substitution —
-        but the result is the ``(l, p)`` output matrix plus a success
-        mask instead of per-block execution records.  On the vectorized
-        fast path that matrix is handed through *directly* from the
-        fused batch call, so no per-block Python objects are built at
-        all; the other backends run chambers and collect.
+        The result is the output matrix plus a success mask.  On the
+        vectorized fast path that matrix is handed through *directly*
+        from the fused batch call, so no per-block Python objects are
+        built at all; the other backends run chambers and collect.
 
-        ``blocks`` may be omitted when ``stacked`` covers the whole
-        plan; the per-block list is then materialized only if a chamber
-        path actually needs it.
+        ``stacked``, when given, is the ``(l, block_size, d)`` stacked
+        view of the plan (as produced by :meth:`BlockPlan.stack`); the
+        vectorized backend consumes it directly.  ``blocks`` may be
+        omitted when ``stacked`` covers the whole plan; the per-block
+        list is then materialized only if a chamber path needs it.
+
+        Raises :class:`ComputationError` only when *every* block failed,
+        which signals a systemic problem (wrong output dimension, program
+        that always crashes) rather than a data-dependent one.  Partial
+        failures are kept as fallback outputs — turning them into errors
+        would create the exact side channel the chambers exist to close.
         """
         fallback = self._validate_shape(output_dimension, fallback)
         if self._backend == "vectorized":
@@ -373,22 +357,10 @@ class ComputationManager:
                 if succeeded == 0:
                     raise ComputationError(self._all_failed_message(output_dimension))
                 return batch
-        # Chamber/pool path (including a counted vectorized degrade):
-        # run the per-block contract, then collect to matrix form.
+        # Chamber/pool path (including a counted vectorized degrade).
         if blocks is None:
             blocks = [] if stacked is None else list(stacked)
-        executions = self._run_blocks_impl(
-            program, blocks, output_dimension, fallback, stacked, try_batch=False
-        )
-        outputs = np.vstack([e.output for e in executions])
-        succeeded = np.fromiter(
-            (e.succeeded for e in executions), dtype=bool, count=len(executions)
-        )
-        return BatchOutputs(
-            outputs=outputs,
-            succeeded=succeeded,
-            elapsed=float(sum(e.elapsed for e in executions)),
-        )
+        return self._run_blocks_impl(program, blocks, output_dimension, fallback)
 
     def run_sharded_collected(
         self,
@@ -404,7 +376,7 @@ class ComputationManager:
         fallback: np.ndarray,
         clamp_ranges: tuple[tuple[float, ...], tuple[float, ...]] | None = None,
     ) -> tuple[ShardPlanSummary, BatchOutputs] | None:
-        """Run one query through the shard workers, or ``None`` to degrade.
+        """Run one query through the shard nodes, or ``None`` to degrade.
 
         The sharded fast path: shard-local planning and execution,
         partials-only combine, same telemetry and all-blocks-failed
@@ -412,13 +384,13 @@ class ComputationManager:
         counting the reason in ``sharded.fallbacks`` — when the shard
         protocol cannot carry the query (an active timing defense, whose
         per-block kill-and-pad semantics the fused shard execution
-        cannot reproduce, or a program pickle cannot ship to a worker);
+        cannot reproduce, or a program pickle cannot ship to a node);
         the caller then replays the *same* S-sharded plan through the
         chamber path, so a degrade never moves released bits.
 
         ``clamp_ranges`` is the optional ``(lows, highs)`` pair of
-        declared per-dimension output bounds; when given, workers clamp
-        block outputs before they cross the shard IPC boundary
+        declared per-dimension output bounds; when given, nodes clamp
+        block outputs before they cross the shard boundary
         (aggregation clamps to the same bounds again, so the release is
         untouched).
         """
@@ -467,9 +439,9 @@ class ComputationManager:
         return summary, batch
 
     def _run_blocks_impl(
-        self, program, blocks, output_dimension, fallback, stacked, try_batch
-    ) -> list[BlockExecution]:
-        fallback = self._validate_shape(output_dimension, fallback)
+        self, program, blocks, output_dimension, fallback
+    ) -> BatchOutputs:
+        """The chamber/pool path: run each block, collect to matrix form."""
         blocks = list(blocks)
         if not blocks:
             raise ComputationError("no blocks to execute")
@@ -477,14 +449,7 @@ class ComputationManager:
         metrics = self._metrics or get_registry()
         metrics.gauge("blocks.pool_width").set(self._max_workers)
 
-        batch = None
-        if try_batch and self._backend == "vectorized":
-            batch = self._try_batch(
-                metrics, program, blocks, output_dimension, fallback, stacked
-            )
-        if batch is not None:
-            results = batch.to_executions()
-        elif self._backend == "pool":
+        if self._backend == "pool":
             results = self._run_pool(
                 metrics, program, blocks, output_dimension, fallback
             )
@@ -501,7 +466,13 @@ class ComputationManager:
 
         if succeeded == 0:
             raise ComputationError(self._all_failed_message(output_dimension))
-        return results
+        return BatchOutputs(
+            outputs=np.vstack([r.output for r in results]),
+            succeeded=np.fromiter(
+                (r.succeeded for r in results), dtype=bool, count=len(results)
+            ),
+            elapsed=float(sum(r.elapsed for r in results)),
+        )
 
     @staticmethod
     def _validate_shape(output_dimension: int, fallback) -> np.ndarray:

@@ -1,21 +1,20 @@
-"""Distributed shard execution over the network.
+"""Shard execution on node processes, local or across the network.
 
-The remote backend crosses the machine boundary that
-:mod:`repro.runtime.shard` stops at: logical shards are executed by
-*shard-node* processes reachable only over TCP, speaking the
+Logical shards are executed by *shard-node* processes speaking the
 length-prefixed, versioned, CRC-framed binary protocol of
-:mod:`repro.runtime.remote.wire`.  The privacy contract of the sharded
-engine is preserved on a genuinely untrusted channel — the only payload
-a node ever returns is its clamped ``(l_s, p)`` block-output partial
-and success mask — and releases stay bit-identical to every in-process
-backend at the same logical shard count ``S``.
+:mod:`repro.runtime.remote.wire` — over TCP for ``backend="remote"``,
+over socketpairs to forked local nodes for ``backend="sharded"``.  The
+privacy contract holds on a genuinely untrusted channel — the only
+payload a node ever returns is its clamped ``(l_s, p)`` block-output
+partial and success mask — and releases stay bit-identical to every
+in-process backend at the same logical shard count ``S``.
 
 Pieces:
 
 * :mod:`~repro.runtime.remote.wire` — the frame format and message
   schema (the conformance suite pins its bytes);
 * :mod:`~repro.runtime.remote.node` — :class:`ShardNodeServer`, the
-  standalone worker process (``repro shard-node HOST:PORT``);
+  node (standalone as ``repro shard-node HOST:PORT``, or forked);
 * :mod:`~repro.runtime.remote.backend` — :class:`RemoteShardBackend`,
   the coordinator: node registry, heartbeats, shard re-assignment on
   node death, and the partial-quorum degrade path.

@@ -1,21 +1,27 @@
-"""The remote coordinator: shard execution across TCP-connected nodes.
+"""The shard coordinator: shard execution across connected nodes.
 
-:class:`RemoteShardBackend` is a drop-in sibling of
-:class:`repro.runtime.shard.ShardedExecutionBackend` — same
-``run_sharded(program_bytes, values, spec)`` contract, same shard-major
-deterministic combine, same fallback substitution for shards nobody
-answered — with the pipe/shared-memory transport replaced by the framed
-binary protocol of :mod:`repro.runtime.remote.wire`.  Because logical
-shard plans are pure functions of ``(plan_seed, S, shard)`` and the
-combine is ordered by shard index, a seeded release through this
-backend is bit-identical to every in-process backend at the same ``S``
-— for any node count, and under any single-node failure that a
-surviving node absorbs.
+:class:`RemoteShardBackend` is the one coordinator of the shard
+protocol, serving both shard backends of the computation manager:
+``backend="remote"`` over TCP shard-node processes, and
+``backend="sharded"`` over local nodes forked on first use and reached
+through socketpairs (:class:`LocalNodeCluster` with ``spawn="fork"``).
+Either way it runs ``run_sharded(program_bytes, values, spec)``: it
+pushes each node its shards' rows as ``SEGMENT`` frames of the framed
+binary protocol of :mod:`repro.runtime.remote.wire`, combines the
+returned partials in shard-major order, and substitutes fallback rows
+for shards nobody answered.  Because logical shard plans are pure
+functions of ``(plan_seed, S, shard)`` and the combine is ordered by
+shard index, a seeded release through this backend is bit-identical
+to every in-process backend at the same ``S`` — for any node count,
+and under any single-node failure that a surviving or respawned node
+absorbs.
 
 Failure handling, in escalating order:
 
 * **Reconnect.**  A node whose session dropped between queries is
-  re-dialed at dispatch time and its segments re-pushed.
+  re-dialed at dispatch time and its segments re-pushed.  Re-dialing a
+  forked slot kills and reaps its old child and forks a fresh one, so
+  a local node that died heals by kill-and-replace on the same path.
 * **Re-push.**  A node that disclaims a shard (``PARTIAL_MISSING`` —
   its segment LRU evicted a dataset the coordinator believed resident)
   gets the segment re-pushed and the shard re-executed once before
@@ -23,15 +29,16 @@ Failure handling, in escalating order:
   ``_values`` also forgets the matching pushes, keeping both LRUs
   aligned.
 * **Re-assignment.**  A node that dies or wedges mid-query (EOF, torn
-  frame, or no progress within ``node_timeout``) has its unanswered
-  shards adopted by surviving nodes, which receive the missing
-  segments plus a fresh plan and replay ``spawn(plan_seed, S)[s]`` —
-  computing the identical partial, so healing never perturbs released
-  bits.  Each shard is re-assigned at most once per query.
+  frame, or no progress within ``node_timeout``, if one is set) has its
+  unanswered shards adopted by surviving nodes — or by a fresh fork of
+  its own slot — which receive the missing segments plus a fresh plan and
+  replay ``spawn(plan_seed, S)[s]``, computing the identical partial,
+  so healing never perturbs released bits.  Each shard is re-assigned
+  at most once per query.
 * **Quorum degrade.**  Shards that remain unanswered (every holder
   dead, or the retry died too) resolve to the query's data-independent
-  fallback rows — the killed-worker semantics of the in-process
-  backends — and the query is flagged in telemetry
+  fallback rows — the killed-block semantics of the chamber backends
+  — and the query is flagged in telemetry
   (``remote.degraded_queries``) instead of raising.
 
 Telemetry (all release-safe geometry/counters, never payloads):
@@ -46,6 +53,8 @@ Telemetry (all release-safe geometry/counters, never payloads):
 from __future__ import annotations
 
 import itertools
+import math
+import multiprocessing
 import os
 import secrets as secrets_module
 import select
@@ -119,17 +128,44 @@ class _NodeSession:
             pass
 
 
+def _dial_tcp(address: tuple[str, int]) -> socket.socket:
+    sock = socket.create_connection(address, timeout=_DIAL_TIMEOUT)
+    sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+    return sock
+
+
+def _serve_forked_node(
+    conn: socket.socket, inherited: list[socket.socket], secret: str | None
+) -> None:
+    """Body of a forked node: serve one end of a socketpair, then exit.
+
+    The child first closes every coordinator end it inherited — its own
+    and each sibling's.  A copy held here would keep that socket open,
+    so a coordinator that dies would never reach the sibling as EOF.
+    """
+    for end in inherited:
+        end.close()
+    ShardNodeServer(secret=secret).serve_connection(conn)
+
+
 class LocalNodeCluster:
     """A convenience cluster of shard nodes owned by this process.
 
     ``spawn="thread"`` runs :class:`ShardNodeServer` instances on daemon
-    threads — real TCP, zero process overhead; the default for tests
-    and single-box use.  ``spawn="process"`` launches
+    threads — real TCP, zero process overhead; the default for tests.
+    ``spawn="process"`` launches
     ``python -m repro shard-node 127.0.0.1:0`` subprocesses (scraping
     the announced ``LISTENING`` line), which is what the fault matrix
     and the CI soak use: a crashed subprocess is a genuinely dead peer.
     ``env`` adds variables to subprocess nodes (e.g. arming
     ``REPRO_FAILPOINTS`` in a victim node).
+
+    ``spawn="fork"`` is the in-process sharded deployment: no listener
+    and no port.  Each :meth:`dial` forks a fresh node process that
+    serves the other end of a ``socketpair``; the previous child of the
+    slot, if any, is killed and reaped first.  Nodes are forked on the
+    first dial, not at construction: a parent that goes on allocating
+    after a fork pays a copy-on-write fault per touched page.
     """
 
     def __init__(
@@ -142,7 +178,7 @@ class LocalNodeCluster:
     ):
         if count < 1:
             raise ComputationError("a node cluster needs at least one node")
-        if spawn not in ("thread", "process"):
+        if spawn not in ("thread", "process", "fork"):
             raise ComputationError(f"unknown node spawn mode {spawn!r}")
         if curated is not None and len(curated) != count:
             raise ComputationError(
@@ -157,6 +193,18 @@ class LocalNodeCluster:
         self.addresses: list[tuple[str, int]] = []
         self._servers: list[ShardNodeServer] = []
         self._processes: list[subprocess.Popen] = []
+        #: Whether every dial starts a fresh node, so a slot whose
+        #: session died can always be dialed again.
+        self.respawns = spawn == "fork"
+        self._secret = secret
+        # Fork mode, per slot: the current child and our end of its pair.
+        self._children: list[multiprocessing.process.BaseProcess | None] = []
+        self._ends: list[socket.socket | None] = []
+        if spawn == "fork":
+            self.addresses = [("fork", index) for index in range(count)]
+            self._children = [None] * count
+            self._ends = [None] * count
+            return
         if spawn == "thread":
             for index in range(count):
                 server = ShardNodeServer(
@@ -199,7 +247,52 @@ class LocalNodeCluster:
             self.addresses.append((parts[1], int(parts[2])))
             self._processes.append(process)
 
+    def dial(self, index: int) -> socket.socket:
+        """A connected socket to node ``index``; raises OSError on failure."""
+        if not self.respawns:
+            return _dial_tcp(self.addresses[index])
+        self._reap(index, grace=0.0)
+        ours, theirs = socket.socketpair()
+        inherited = [end for end in self._ends if end is not None] + [ours]
+        child = multiprocessing.get_context("fork").Process(
+            target=_serve_forked_node,
+            args=(theirs, inherited, self._secret),
+            name=f"shard-node-{index}",
+            daemon=True,
+        )
+        try:
+            child.start()
+        except BaseException:
+            ours.close()
+            raise
+        finally:
+            theirs.close()
+        ours.settimeout(_DIAL_TIMEOUT)
+        self._children[index] = child
+        self._ends[index] = ours
+        return ours
+
+    def _reap(self, index: int, grace: float) -> None:
+        """End slot ``index``'s child: close our end, wait ``grace``, kill."""
+        child, self._children[index] = self._children[index], None
+        end, self._ends[index] = self._ends[index], None
+        if end is not None:
+            end.close()
+        if child is None:
+            return
+        child.join(grace)
+        if child.is_alive():
+            child.kill()
+            child.join()
+        child.close()
+
     def stop(self) -> None:
+        # Close every coordinator end first, so all children see EOF at once.
+        for end in self._ends:
+            if end is not None:
+                end.close()
+        for index in range(len(self._children)):
+            self._reap(index, grace=1.0)
         for server in self._servers:
             server.stop()
         self._servers = []
@@ -233,7 +326,7 @@ def local_node_cluster(
 
 
 class RemoteShardBackend:
-    """S logical shards executed by N shard-node processes over TCP.
+    """S logical shards executed by N shard-node processes.
 
     Parameters
     ----------
@@ -243,12 +336,16 @@ class RemoteShardBackend:
     nodes:
         Where the nodes are: a list of ``(host, port)`` tuples or
         ``"host:port"`` strings for an existing cluster, an int to
-        spawn that many in-process nodes, or ``None`` to spawn
+        spawn that many local nodes, or ``None`` to spawn
         ``min(shards, 4)``.  Node ``i`` of N initially owns the
         contiguous logical shards ``[i * S // N, (i + 1) * S // N)``.
     node_timeout:
         Mid-query liveness deadline: a node sending nothing for this
-        long is declared wedged and its shards re-assigned.
+        long is declared wedged and its shards re-assigned.  ``None``
+        sets no deadline, so a node is declared dead only when its
+        connection breaks — right for forked local nodes, whose death
+        shows up as EOF, and whose shards may compute for as long as
+        the program needs.
     heartbeat_interval:
         Period of the idle-session PING thread; ``None`` disables it
         (deterministic tests drive :meth:`heartbeat_once` directly).
@@ -259,6 +356,10 @@ class RemoteShardBackend:
         Called with ``(direction, frame_bytes)`` for every frame in
         both directions — the network-capture hook the sentinel tests
         scan for raw data.
+    node_spawn:
+        How spawned nodes run when ``nodes`` is an int or ``None``:
+        ``"thread"``, ``"process"`` or ``"fork"`` (see
+        :class:`LocalNodeCluster`).
     secret:
         Shared node-authentication secret.  When set, every dial runs
         the mutual HMAC challenge-response and refuses nodes that
@@ -274,7 +375,7 @@ class RemoteShardBackend:
         metrics: MetricsRegistry | None = None,
         message_observer: Callable[[wire.Frame], None] | None = None,
         frame_observer: Callable[[str, bytes], None] | None = None,
-        node_timeout: float = DEFAULT_NODE_TIMEOUT,
+        node_timeout: float | None = DEFAULT_NODE_TIMEOUT,
         heartbeat_interval: float | None = DEFAULT_HEARTBEAT_INTERVAL,
         node_spawn: str = "thread",
         secret: str | None = None,
@@ -288,7 +389,7 @@ class RemoteShardBackend:
         self._metrics = metrics
         self._message_observer = message_observer
         self._frame_observer = frame_observer
-        self._node_timeout = float(node_timeout)
+        self._node_timeout = None if node_timeout is None else float(node_timeout)
         self._heartbeat_interval = heartbeat_interval
         self._secret = secret if secret else None
         self._cluster: LocalNodeCluster | None = None
@@ -336,14 +437,14 @@ class RemoteShardBackend:
     def nodes(self) -> int:
         return len(self._addresses)
 
-    @property
-    def workers(self) -> int:
-        # Interface parity with ShardedExecutionBackend: "workers" is
-        # the physical executor count, here nodes.
-        return len(self._addresses)
-
     def _registry(self) -> MetricsRegistry:
         return self._metrics or get_registry()
+
+    def _deadline(self) -> float:
+        """When a node given work now is declared wedged if still silent."""
+        if self._node_timeout is None:
+            return math.inf
+        return time.monotonic() + self._node_timeout
 
     def _node_shards(self, index: int) -> list[int]:
         """Contiguous logical shards initially owned by node ``index``."""
@@ -388,10 +489,12 @@ class RemoteShardBackend:
         """
         address = self._addresses[index]
         try:
-            sock = socket.create_connection(address, timeout=_DIAL_TIMEOUT)
+            if self._cluster is not None:
+                sock = self._cluster.dial(index)
+            else:
+                sock = _dial_tcp(address)
         except OSError:
             return None
-        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         session = _NodeSession(address, sock)
         nonce = secrets_module.token_hex(16)
         try:
@@ -412,6 +515,9 @@ class RemoteShardBackend:
             for entry in frame.header.get("manifests", [])
             if isinstance(entry, dict)
         ]
+        # Writes to the node obey the liveness deadline too: a segment
+        # pushed to a node busy computing waits as long as a read would.
+        sock.settimeout(self._node_timeout)
         return session
 
     def _authenticate(
@@ -859,7 +965,7 @@ class RemoteShardBackend:
             )
 
         deadlines = {
-            index: time.monotonic() + self._node_timeout for index in pending
+            index: self._deadline() for index in pending
         }
         while pending:
             self._collect_round(
@@ -979,7 +1085,7 @@ class RemoteShardBackend:
                     deadlines, reassigned, program_bytes, registry, filled,
                 )
                 continue
-            deadlines[index] = time.monotonic() + self._node_timeout
+            deadlines[index] = self._deadline()
             self._apply_frame(
                 index, frame, qid, spec, bases, counts,
                 outputs, succeeded, filled, pending, deadlines,
@@ -1070,7 +1176,7 @@ class RemoteShardBackend:
         ):
             registry.counter("remote.repushed_shards").inc()
             for adopter in pending:
-                deadlines[adopter] = time.monotonic() + self._node_timeout
+                deadlines[adopter] = self._deadline()
 
     def _fail_node(
         self, index, qid, spec, dskey, resident, pending,
@@ -1091,7 +1197,7 @@ class RemoteShardBackend:
             ):
                 registry.counter("remote.reassigned_shards").inc()
                 for adopter in pending:
-                    deadlines[adopter] = time.monotonic() + self._node_timeout
+                    deadlines[adopter] = self._deadline()
 
     def _adopt(
         self, shard, qid, spec, dskey, resident, pending, program_bytes, registry
@@ -1102,10 +1208,14 @@ class RemoteShardBackend:
             # no other node has (or may ever receive) its rows, so the
             # shard resolves to the data-independent fallback instead.
             return False
+        # A forked slot counts even with its session gone: dialing it
+        # forks a fresh node (kill-and-replace), so a one-node cluster
+        # still gets its one retry.
+        respawns = self._cluster is not None and self._cluster.respawns
         candidates = [i for i in pending] + [
             i
             for i in range(len(self._addresses))
-            if i not in pending and self._sessions[i] is not None
+            if i not in pending and (respawns or self._sessions[i] is not None)
         ]
         # Deterministic adopter choice (least-loaded, ties by index) —
         # irrelevant to released bits, but it keeps frame sequences

@@ -1,14 +1,17 @@
-"""The shard node: a standalone worker process behind a TCP socket.
+"""The shard node: the worker side of the shard protocol.
 
-A node is the network analogue of the pipe-connected worker in
-:mod:`repro.runtime.shard`: it holds the raw row slices of the logical
-shards assigned to it (pushed once per ``(dataset, version)`` by the
-coordinator), plans each shard locally from ``spawn(plan_seed, S)[s]``,
-executes the analyst program, and returns *only* the clamped
-``(l_s, p)`` block-output partial and success mask.  Because it runs
-:func:`repro.runtime.shard.execute_shard_rows` — the exact kernel the
-in-process shard workers run — a remote release is bit-identical to an
-in-process sharded one at the same logical shard count.
+A node serves one coordinator over a connected socket — accepted on a
+TCP listener (``repro shard-node``, or a node thread), or one end of a
+socketpair handed to a forked local node
+(:meth:`ShardNodeServer.serve_connection`).  It holds the raw row
+slices of the logical shards assigned to it (pushed once per
+``(dataset, version)`` by the coordinator as ``SEGMENT`` frames), plans
+each shard locally from ``spawn(plan_seed, S)[s]``, executes the
+analyst program, and returns *only* the clamped ``(l_s, p)``
+block-output partial and success mask.  Every node runs
+:func:`repro.runtime.shard.execute_shard_rows`, so a release is
+bit-identical to every in-process backend at the same logical shard
+count, whatever the transport.
 
 Trust model (the Lin/Wang/Rane curator setting): a node sees only its
 *own* shards' rows, never another node's slice, and the return channel
@@ -213,6 +216,24 @@ class ShardNodeServer:
             self._thread = None
 
     # -- serving ---------------------------------------------------------
+    def serve_connection(self, conn: socket.socket) -> None:
+        """Serve one already-connected coordinator on the calling thread.
+
+        The entry point of a node with no listener (a forked local node
+        handed one end of a socketpair): the handshake, then the
+        session, then the connection is closed.  Nothing is announced
+        and no newcomer can preempt the session.
+        """
+        try:
+            self._prepare_conn(conn)
+            if self._handshake(conn):
+                self._session_loop(conn)
+        finally:
+            try:
+                conn.close()
+            except OSError:
+                pass
+
     def _serve_loop(self) -> None:
         while not self._halted.is_set():
             conn, self._pending_conn = self._pending_conn, None
@@ -225,13 +246,8 @@ class ShardNodeServer:
                     conn, _ = listener.accept()
                 except OSError:
                     return  # listener closed by stop()
-                self._prepare_conn(conn)
-                if not self._handshake(conn):
-                    try:
-                        conn.close()
-                    except OSError:
-                        pass
-                    continue
+                self.serve_connection(conn)
+                continue
             try:
                 self._session_loop(conn)
             finally:
@@ -242,6 +258,8 @@ class ShardNodeServer:
 
     @staticmethod
     def _prepare_conn(conn: socket.socket) -> None:
+        if conn.family == socket.AF_UNIX:
+            return  # no Nagle, no keepalive on a local socketpair
         conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         conn.setsockopt(socket.SOL_SOCKET, socket.SO_KEEPALIVE, 1)
 
@@ -524,7 +542,7 @@ class ShardNodeServer:
                     "shape": meta["shape"],
                     "elapsed": float(elapsed),
                 },
-                body + wire.mask_to_bytes(succeeded),
+                b"".join((body, wire.mask_to_bytes(succeeded))),
             )
         wire.send_frame(conn, wire.QUERY_DONE, {"qid": qid})
         # Plans are per-query; drop them once answered so a long-lived

@@ -23,7 +23,7 @@ discipline in :mod:`repro.accounting.journal`)::
 * ``body`` is an opaque byte string: a float64 array in C order, a
   boolean mask as uint8, or a pickled analyst program (the coordinator
   is trusted platform infrastructure; nodes execute its programs the
-  same way the in-process shard workers do).
+  same way the in-process chambers do).
 * ``crc32`` covers everything after the magic.  A frame that fails the
   checksum, truncates mid-read, or carries the wrong version is
   rejected with a typed :class:`FrameError` — never partially applied.
@@ -96,6 +96,10 @@ _CRC = struct.Struct("<I")
 MAX_HEADER_BYTES = 1 << 20
 MAX_BODY_BYTES = 1 << 31
 
+#: A receive buffer starts at most this large and doubles as bytes
+#: arrive, so a length prefix alone never makes the receiver allocate.
+_RECV_CHUNK_BYTES = 1 << 20
+
 # ----------------------------------------------------------------------
 # Message kinds (pinned; numbers are wire format)
 # ----------------------------------------------------------------------
@@ -161,11 +165,16 @@ class VersionMismatch(FrameError):
 
 @dataclass(frozen=True)
 class Frame:
-    """One decoded message: a kind, a JSON-safe header, opaque body bytes."""
+    """One decoded message: a kind, a JSON-safe header, opaque body bytes.
+
+    A frame read off a socket carries its body as a read-only view into
+    the receive buffer (any bytes-like object compares, slices and
+    unpickles like ``bytes``).
+    """
 
     kind: int
     header: Mapping[str, Any]
-    body: bytes = b""
+    body: bytes | memoryview = b""
 
     @property
     def kind_name(self) -> str:
@@ -183,13 +192,17 @@ def _canonical_header(header: Mapping[str, Any]) -> bytes:
 
 
 def encode_frame(kind: int, header: Mapping[str, Any], body: bytes = b"") -> bytes:
-    """Serialize one frame to its exact wire bytes."""
+    """Serialize one frame to its exact wire bytes.
+
+    The checksum runs over the body in place, so the body is copied
+    once, into the frame, and never into a scratch buffer first.
+    """
     header_bytes = _canonical_header(header)
     prefix = _PREFIX.pack(
         REMOTE_PROTOCOL_VERSION, int(kind), len(header_bytes), len(body)
     )
-    checked = prefix + header_bytes + body
-    return REMOTE_MAGIC + checked + _CRC.pack(zlib.crc32(checked))
+    checksum = zlib.crc32(body, zlib.crc32(header_bytes, zlib.crc32(prefix)))
+    return b"".join((REMOTE_MAGIC, prefix, header_bytes, body, _CRC.pack(checksum)))
 
 
 def decode_frame(data: bytes) -> Frame:
@@ -241,10 +254,13 @@ def _parse_header(raw: bytes) -> dict[str, Any]:
 # ----------------------------------------------------------------------
 def _recv_exact(
     sock: socket.socket, count: int, deadline: float | None = None
-) -> bytes:
-    chunks: list[bytes] = []
-    remaining = count
-    while remaining:
+) -> bytearray:
+    buffer = bytearray(min(count, _RECV_CHUNK_BYTES))
+    received = 0
+    while received < count:
+        remaining = count - received
+        if received == len(buffer):
+            buffer.extend(bytes(min(len(buffer), remaining)))
         if deadline is not None:
             left = deadline - time.monotonic()
             if left <= 0.0:
@@ -253,16 +269,16 @@ def _recv_exact(
                 )
             sock.settimeout(left)
         try:
-            chunk = sock.recv(min(remaining, 1 << 20))
+            with memoryview(buffer) as view, view[received:] as window:
+                got = sock.recv_into(window)
         except socket.timeout as exc:
             raise TruncatedFrame(
                 f"timed out mid-frame ({remaining} bytes short)"
             ) from exc
-        if not chunk:
+        if not got:
             raise TruncatedFrame(f"connection closed mid-frame ({remaining} short)")
-        chunks.append(chunk)
-        remaining -= len(chunk)
-    return b"".join(chunks)
+        received += got
+    return buffer
 
 
 def read_frame(sock: socket.socket, timeout: float | None = None) -> Frame:
@@ -282,13 +298,16 @@ def read_frame(sock: socket.socket, timeout: float | None = None) -> Frame:
         raise CorruptFrame(f"bad magic {head[:4]!r}")
     version, kind, header_len, body_len = _PREFIX.unpack_from(head, len(REMOTE_MAGIC))
     _check_lengths(version, header_len, body_len)
-    rest = _recv_exact(sock, header_len + body_len + _CRC.size, deadline)
-    (checksum,) = _CRC.unpack_from(rest, header_len + body_len)
-    checked = head[len(REMOTE_MAGIC) :] + rest[: header_len + body_len]
-    if zlib.crc32(checked) != checksum:
+    header_bytes = _recv_exact(sock, header_len, deadline)
+    # The body gets a buffer of its own, so its float64 rows start
+    # aligned; it stays a view into that buffer, never copied again.
+    rest = memoryview(_recv_exact(sock, body_len + _CRC.size, deadline))
+    body = rest[:body_len].toreadonly()
+    (checksum,) = _CRC.unpack_from(rest, body_len)
+    crc = zlib.crc32(head[len(REMOTE_MAGIC) :])
+    if zlib.crc32(body, zlib.crc32(header_bytes, crc)) != checksum:
         raise CorruptFrame("checksum mismatch")
-    header = _parse_header(rest[:header_len])
-    return Frame(kind=kind, header=header, body=rest[header_len : header_len + body_len])
+    return Frame(kind=kind, header=_parse_header(bytes(header_bytes)), body=body)
 
 
 def send_frame(
@@ -326,25 +345,29 @@ def send_frame(
 # ----------------------------------------------------------------------
 # Typed payload helpers
 # ----------------------------------------------------------------------
-def array_to_body(values: np.ndarray) -> tuple[dict[str, Any], bytes]:
+def array_to_body(values: np.ndarray) -> tuple[dict[str, Any], memoryview]:
     """A float64 matrix as ``(shape header fields, raw C-order bytes)``.
 
     The dtype is pinned to little-endian float64: it is what every
     execution path already computes in, and a fixed dtype is what makes
-    partials bit-comparable across heterogeneous nodes.
+    partials bit-comparable across heterogeneous nodes.  The bytes are a
+    view of the matrix (copied only to convert it), so a segment push
+    is not copied before it is sent.
     """
     values = np.ascontiguousarray(values, dtype="<f8")
-    return {"shape": [int(n) for n in values.shape]}, values.tobytes()
+    body = memoryview(values).cast("B") if values.size else memoryview(b"")
+    return {"shape": [int(n) for n in values.shape]}, body
 
 
 def body_to_array(header: Mapping[str, Any], body: bytes, key: str = "shape"):
+    """The matrix a body carries, as a view over the body's bytes."""
     shape = tuple(int(n) for n in header[key])
     expected = int(np.prod(shape, dtype=np.int64)) * 8
     if len(body) != expected:
         raise CorruptFrame(
             f"array body is {len(body)} bytes, shape {shape} needs {expected}"
         )
-    return np.frombuffer(body, dtype="<f8").reshape(shape).copy()
+    return np.frombuffer(body, dtype="<f8").reshape(shape)
 
 
 def mask_to_bytes(mask: np.ndarray) -> bytes:

@@ -50,7 +50,7 @@ from typing import Protocol, Sequence, runtime_checkable
 
 import numpy as np
 
-from repro.runtime.sandbox import BlockExecution, _coerce_output
+from repro.runtime.sandbox import _coerce_output
 
 
 @dataclass(frozen=True)
@@ -70,29 +70,6 @@ class BatchOutputs:
     @property
     def num_blocks(self) -> int:
         return int(self.outputs.shape[0])
-
-    @property
-    def per_block_elapsed(self) -> float:
-        """The batch wall-clock spread evenly across blocks.
-
-        Only the per-block records of :meth:`to_executions` carry it:
-        it is an average, not a measurement, so telemetry records the
-        batch once, in ``vectorized.batch_seconds``.
-        """
-        return self.elapsed / max(1, self.num_blocks)
-
-    def to_executions(self) -> list[BlockExecution]:
-        """Expand to per-block records for callers on the list contract."""
-        per_block = self.per_block_elapsed
-        return [
-            BlockExecution(
-                output=self.outputs[i].copy(),
-                succeeded=bool(self.succeeded[i]),
-                killed=False,
-                elapsed=per_block,
-            )
-            for i in range(self.num_blocks)
-        ]
 
 
 @runtime_checkable
@@ -197,7 +174,7 @@ def run_stacked_serial(
 ) -> BatchOutputs:
     """Per-block execution over a stacked array, collected in matrix form.
 
-    The shard workers' slow path: a program with no usable batch form
+    The shard nodes' slow path: a program with no usable batch form
     runs block-by-block against a *fresh* ``pickle.loads`` instance per
     block — the same instance-freshness guarantee the chambers give, so
     no state can carry between blocks — with the chamber's malformed-

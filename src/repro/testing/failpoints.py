@@ -93,6 +93,16 @@ _hits: dict[str, int] = {}
 _env_loaded = False
 
 
+def _fresh_lock_after_fork() -> None:
+    # A forked shard node passes failpoints on every frame; a lock some
+    # other parent thread held at the fork would never be released.
+    global _lock
+    _lock = threading.Lock()
+
+
+os.register_at_fork(after_in_child=_fresh_lock_after_fork)
+
+
 def _load_env_locked() -> None:
     global _env_loaded
     if _env_loaded:

@@ -26,6 +26,13 @@ def always_fails_program(block):
     raise RuntimeError("boom")
 
 
+def _run(manager, program, fallback, blocks=BLOCKS, output_dimension=1):
+    """One run through the manager, outcomes in matrix form."""
+    return manager.run_blocks_collected(
+        program, output_dimension, fallback, blocks=blocks
+    )
+
+
 def _manager_for(backend: str, **kwargs) -> ComputationManager:
     return ComputationManager(backend=backend, max_workers=2, **kwargs)
 
@@ -33,15 +40,15 @@ def _manager_for(backend: str, **kwargs) -> ComputationManager:
 class TestRunBlocks:
     def test_one_outcome_per_block_in_order(self):
         manager = ComputationManager()
-        results = manager.run_blocks(mean_program, BLOCKS, 1, np.array([0.0]))
-        assert [r.output[0] for r in results] == [0.0, 1.0, 2.0, 3.0, 4.0]
+        results = _run(manager, mean_program, np.array([0.0]))
+        assert list(results.outputs[:, 0]) == [0.0, 1.0, 2.0, 3.0, 4.0]
 
     def test_parallel_matches_serial(self):
         serial = ComputationManager(max_workers=1)
         parallel = ComputationManager(max_workers=4)
-        a = serial.run_blocks(mean_program, BLOCKS, 1, np.array([0.0]))
-        b = parallel.run_blocks(mean_program, BLOCKS, 1, np.array([0.0]))
-        assert [r.output[0] for r in a] == [r.output[0] for r in b]
+        a = _run(serial, mean_program, np.array([0.0]))
+        b = _run(parallel, mean_program, np.array([0.0]))
+        assert np.array_equal(a.outputs, b.outputs)
 
     def test_partial_failure_uses_fallback(self):
         def failing_on_even(block):
@@ -50,8 +57,8 @@ class TestRunBlocks:
             return float(np.mean(block))
 
         manager = ComputationManager()
-        results = manager.run_blocks(failing_on_even, BLOCKS, 1, np.array([-1.0]))
-        assert [r.output[0] for r in results] == [-1.0, 1.0, -1.0, 3.0, -1.0]
+        results = _run(manager, failing_on_even, np.array([-1.0]))
+        assert list(results.outputs[:, 0]) == [-1.0, 1.0, -1.0, 3.0, -1.0]
 
     def test_total_failure_raises(self):
         def always_fails(block):
@@ -59,19 +66,22 @@ class TestRunBlocks:
 
         manager = ComputationManager()
         with pytest.raises(ComputationError):
-            manager.run_blocks(always_fails, BLOCKS, 1, np.array([0.0]))
+            _run(manager, always_fails, np.array([0.0]))
 
     def test_empty_blocks_rejected(self):
         with pytest.raises(ComputationError):
-            ComputationManager().run_blocks(mean_program, [], 1, np.array([0.0]))
+            _run(ComputationManager(), mean_program, np.array([0.0]), [])
 
     def test_bad_output_dimension_rejected(self):
         with pytest.raises(ComputationError):
-            ComputationManager().run_blocks(mean_program, BLOCKS, 0, np.array([0.0]))
+            _run(
+                ComputationManager(), mean_program, np.array([0.0]),
+                output_dimension=0,
+            )
 
     def test_fallback_shape_mismatch_rejected(self):
         with pytest.raises(ComputationError):
-            ComputationManager().run_blocks(mean_program, BLOCKS, 1, np.array([0.0, 1.0]))
+            _run(ComputationManager(), mean_program, np.array([0.0, 1.0]))
 
     def test_invalid_worker_count_rejected(self):
         with pytest.raises(ValueError):
@@ -83,7 +93,7 @@ class TestParallelFanOut:
 
     def test_ordering_preserved_despite_skewed_latencies(self):
         # Early blocks sleep longest, so completion order inverts
-        # submission order; the result list must still follow block order.
+        # submission order; the output rows must still follow block order.
         blocks = [np.full((4, 1), float(i)) for i in range(8)]
 
         def skewed(block):
@@ -91,8 +101,8 @@ class TestParallelFanOut:
             return float(block[0, 0])
 
         manager = ComputationManager(max_workers=4)
-        results = manager.run_blocks(skewed, blocks, 1, np.array([0.0]))
-        assert [r.output[0] for r in results] == [float(i) for i in range(8)]
+        results = _run(manager, skewed, np.array([0.0]), blocks)
+        assert list(results.outputs[:, 0]) == [float(i) for i in range(8)]
 
     def test_partial_failures_counted_and_substituted(self):
         def failing_on_even(block):
@@ -102,9 +112,9 @@ class TestParallelFanOut:
 
         metrics = MetricsRegistry()
         manager = ComputationManager(max_workers=4, metrics=metrics)
-        results = manager.run_blocks(failing_on_even, BLOCKS, 1, np.array([-1.0]))
-        assert [r.output[0] for r in results] == [-1.0, 1.0, -1.0, 3.0, -1.0]
-        assert sum(1 for r in results if not r.succeeded) == 3
+        results = _run(manager, failing_on_even, np.array([-1.0]))
+        assert list(results.outputs[:, 0]) == [-1.0, 1.0, -1.0, 3.0, -1.0]
+        assert int((~results.succeeded).sum()) == 3
         assert metrics.counter("blocks.executed").value == 5
         assert metrics.counter("blocks.success").value == 2
         assert metrics.counter("blocks.fallback").value == 3
@@ -116,20 +126,20 @@ class TestParallelFanOut:
 
         manager = ComputationManager(max_workers=4)
         with pytest.raises(ComputationError):
-            manager.run_blocks(always_fails, BLOCKS, 1, np.array([0.0]))
+            _run(manager, always_fails, np.array([0.0]))
 
         def one_survivor(block):
             if int(block[0, 0]) != 3:
                 raise RuntimeError
             return 3.0
 
-        results = manager.run_blocks(one_survivor, BLOCKS, 1, np.array([0.0]))
-        assert sum(1 for r in results if r.succeeded) == 1
+        results = _run(manager, one_survivor, np.array([0.0]))
+        assert int(results.succeeded.sum()) == 1
 
     def test_per_block_latency_recorded_for_every_block(self):
         metrics = MetricsRegistry()
         manager = ComputationManager(max_workers=4, metrics=metrics)
-        manager.run_blocks(mean_program, BLOCKS, 1, np.array([0.0]))
+        _run(manager, mean_program, np.array([0.0]))
         summary = metrics.histogram("blocks.latency_seconds").summary()
         assert summary["count"] == len(BLOCKS)
         assert summary["min"] >= 0.0
@@ -151,21 +161,19 @@ class TestBackendSelection:
         # order is inverted; every backend must return submission order.
         blocks = [np.full((4, 1), float(i)) for i in range(8)]
         with _manager_for(backend, batch_size=1) as manager:
-            results = manager.run_blocks(
-                shuffle_sensitive_program, blocks, 1, np.array([-1.0])
-            )
-        assert [r.output[0] for r in results] == [float(i) for i in range(8)]
+            results = _run(manager, shuffle_sensitive_program, np.array([-1.0]), blocks)
+        assert list(results.outputs[:, 0]) == [float(i) for i in range(8)]
 
     @pytest.mark.parametrize("backend", ["serial", "thread", "pool"])
     def test_all_blocks_failed_raises_on_every_backend(self, backend):
         with _manager_for(backend) as manager:
             with pytest.raises(ComputationError):
-                manager.run_blocks(always_fails_program, BLOCKS, 1, np.array([0.0]))
+                _run(manager, always_fails_program, np.array([0.0]))
 
     @pytest.mark.parametrize("backend", ["thread", "pool"])
     def test_chunked_dispatch_matches_serial(self, backend):
         serial = ComputationManager()
-        expected = serial.run_blocks(mean_program, BLOCKS, 1, np.array([0.0]))
+        expected = _run(serial, mean_program, np.array([0.0]))
         with _manager_for(backend, batch_size=2) as manager:
-            results = manager.run_blocks(mean_program, BLOCKS, 1, np.array([0.0]))
-        assert [r.output[0] for r in results] == [r.output[0] for r in expected]
+            results = _run(manager, mean_program, np.array([0.0]))
+        assert np.array_equal(results.outputs, expected.outputs)

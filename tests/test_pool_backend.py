@@ -62,6 +62,11 @@ def always_fails(block):
     raise RuntimeError("boom")
 
 
+def _run(manager, program, blocks=BLOCKS):
+    """One run through the manager, outcomes in matrix form."""
+    return manager.run_blocks_collected(program, 1, FALLBACK, blocks=blocks)
+
+
 @pytest.fixture
 def pool_manager():
     manager = ComputationManager(backend="pool", max_workers=2)
@@ -72,17 +77,17 @@ def pool_manager():
 class TestPoolCorrectness:
     def test_matches_serial_in_order(self, pool_manager):
         serial = ComputationManager()
-        a = serial.run_blocks(mean_program, BLOCKS, 1, FALLBACK)
-        b = pool_manager.run_blocks(mean_program, BLOCKS, 1, FALLBACK)
-        assert [r.output[0] for r in a] == [r.output[0] for r in b]
+        a = _run(serial, mean_program)
+        b = _run(pool_manager, mean_program)
+        assert np.array_equal(a.outputs, b.outputs)
 
     def test_ordering_despite_skewed_latencies(self):
         manager = ComputationManager(backend="pool", max_workers=2, batch_size=1)
         try:
-            results = manager.run_blocks(skewed_program, BLOCKS, 1, FALLBACK)
+            results = _run(manager, skewed_program)
         finally:
             manager.close()
-        assert [r.output[0] for r in results] == [float(i) for i in range(12)]
+        assert list(results.outputs[:, 0]) == [float(i) for i in range(12)]
 
     def test_shm_and_pickle_paths_agree(self):
         big = [np.full((1000, 2), float(i)) for i in range(6)]  # > threshold
@@ -94,30 +99,34 @@ class TestPoolCorrectness:
             pool=PoolChamberBackend(workers=2, shm_threshold_bytes=10**12),
         )
         try:
-            a = shm.run_blocks(mean_program, big, 1, FALLBACK)
-            b = forced_pickle.run_blocks(mean_program, big, 1, FALLBACK)
+            a = _run(shm, mean_program, big)
+            b = _run(forced_pickle, mean_program, big)
             c = tiny_threshold.run_blocks(mean_program, big, 1, FALLBACK)
         finally:
             shm.close()
             forced_pickle.pool.close()
             tiny_threshold.close()
-        values = [[r.output[0] for r in run] for run in (a, b, c)]
+        values = [
+            list(a.outputs[:, 0]),
+            list(b.outputs[:, 0]),
+            [r.output[0] for r in c],  # the pool's own per-block records
+        ]
         assert values[0] == values[1] == values[2]
 
     def test_partial_failure_substitutes_fallback(self, pool_manager):
-        results = pool_manager.run_blocks(die_on_one, BLOCKS[:4], 1, FALLBACK)
-        assert [r.output[0] for r in results] == [0.0, -1.0, 2.0, 3.0]
-        assert not results[1].succeeded
+        results = _run(pool_manager, die_on_one, BLOCKS[:4])
+        assert list(results.outputs[:, 0]) == [0.0, -1.0, 2.0, 3.0]
+        assert not results.succeeded[1]
 
     def test_all_failed_raises(self, pool_manager):
         with pytest.raises(ComputationError):
-            pool_manager.run_blocks(always_fails, BLOCKS, 1, FALLBACK)
+            _run(pool_manager, always_fails)
 
     def test_pool_survives_across_queries(self, pool_manager):
-        first = pool_manager.run_blocks(mean_program, BLOCKS, 1, FALLBACK)
-        second = pool_manager.run_blocks(skewed_program, BLOCKS, 1, FALLBACK)
-        assert all(r.succeeded for r in first)
-        assert all(r.succeeded for r in second)
+        first = _run(pool_manager, mean_program)
+        second = _run(pool_manager, skewed_program)
+        assert first.succeeded.all()
+        assert second.succeeded.all()
 
     def test_blocks_are_read_only_in_workers(self):
         # In-place mutation fails that block (fallback) and cannot touch
@@ -125,10 +134,10 @@ class TestPoolCorrectness:
         big = [np.full((1000, 1), float(i)) for i in range(4)]
         manager = ComputationManager(backend="pool", max_workers=1)
         try:
-            results = manager.run_blocks(mutate_on_two, big, 1, FALLBACK)
+            results = _run(manager, mutate_on_two, big)
         finally:
             manager.close()
-        assert [r.succeeded for r in results] == [True, True, False, True]
+        assert list(results.succeeded) == [True, True, False, True]
         assert big[2][0, 0] == 2.0  # parent copy untouched
 
 
@@ -140,11 +149,12 @@ class TestPoolSelfHealing:
             timing=TimingDefense(cycle_budget=0.2, pad=False),
         )
         try:
-            results = manager.run_blocks(hang_on_two, BLOCKS[:6], 1, FALLBACK)
+            results = _run(manager, hang_on_two, BLOCKS[:6])
         finally:
             manager.close()
-        assert [r.output[0] for r in results] == [0.0, 1.0, -1.0, 3.0, 4.0, 5.0]
-        assert results[2].killed
+        assert list(results.outputs[:, 0]) == [0.0, 1.0, -1.0, 3.0, 4.0, 5.0]
+        assert not results.succeeded[2]
+        assert metrics.counter("blocks.killed").value == 1
         assert metrics.counter("pool.worker_restarts").value >= 1
         assert metrics.counter("chamber.kills").value >= 1
 
@@ -154,12 +164,13 @@ class TestPoolSelfHealing:
             backend="pool", max_workers=2, metrics=metrics, batch_size=2
         )
         try:
-            results = manager.run_blocks(die_on_one, BLOCKS[:6], 1, FALLBACK)
+            results = _run(manager, die_on_one, BLOCKS[:6])
         finally:
             manager.close()
-        assert [r.output[0] for r in results] == [0.0, -1.0, 2.0, 3.0, 4.0, 5.0]
-        assert not results[1].succeeded
-        assert not results[1].killed  # crash, not a budget kill
+        assert list(results.outputs[:, 0]) == [0.0, -1.0, 2.0, 3.0, 4.0, 5.0]
+        assert not results.succeeded[1]
+        # A crash, not a budget kill.
+        assert metrics.counter("blocks.killed").value == 0
         assert metrics.counter("pool.worker_restarts").value >= 1
 
     def test_post_hoc_budget_kill_without_restart(self):
@@ -172,11 +183,11 @@ class TestPoolSelfHealing:
             timing=TimingDefense(cycle_budget=0.05, pad=False),
         )
         try:
-            results = manager.run_blocks(slow_on_two, BLOCKS[:6], 1, FALLBACK)
+            results = _run(manager, slow_on_two, BLOCKS[:6])
         finally:
             manager.close()
-        assert results[2].killed
-        assert results[2].output[0] == -1.0
+        assert metrics.counter("blocks.killed").value == 1
+        assert results.outputs[2, 0] == -1.0
         assert metrics.counter("pool.worker_restarts").value == 0
 
 
@@ -185,27 +196,25 @@ class TestPoolFallbacks:
         metrics = MetricsRegistry()
         manager = ComputationManager(backend="pool", max_workers=2, metrics=metrics)
         try:
-            results = manager.run_blocks(
-                lambda block: float(np.mean(block)), BLOCKS, 1, FALLBACK
-            )
+            results = _run(manager, lambda block: float(np.mean(block)))
         finally:
             manager.close()
-        assert [r.output[0] for r in results] == [float(i) for i in range(12)]
+        assert list(results.outputs[:, 0]) == [float(i) for i in range(12)]
         assert metrics.counter("pool.unpicklable_fallbacks").value == 1
 
     def test_close_is_idempotent_and_pool_restarts(self):
         manager = ComputationManager(backend="pool", max_workers=2)
-        manager.run_blocks(mean_program, BLOCKS, 1, FALLBACK)
+        _run(manager, mean_program)
         manager.close()
         manager.close()
         # A closed pool transparently restarts on the next run.
-        results = manager.run_blocks(mean_program, BLOCKS, 1, FALLBACK)
-        assert all(r.succeeded for r in results)
+        results = _run(manager, mean_program)
+        assert results.succeeded.all()
         manager.close()
 
     def test_context_manager_closes(self):
         with ComputationManager(backend="pool", max_workers=2) as manager:
-            manager.run_blocks(mean_program, BLOCKS, 1, FALLBACK)
+            _run(manager, mean_program)
             pool = manager.pool
         assert pool._workers == []
 
@@ -290,8 +299,8 @@ class TestDeterminismUnderConcurrency:
         """Many threads drive one pool at once; every answer is right.
 
         This is the scheduler's real usage pattern: the backend's
-        dispatch protocol is stateful, so concurrent ``run_blocks``
-        calls serialize on the dispatch lock instead of corrupting each
+        dispatch protocol is stateful, so concurrent runs
+        serialize on the dispatch lock instead of corrupting each
         other's program broadcasts and batch bookkeeping.
         """
         manager = ComputationManager(backend="pool", max_workers=2)
@@ -302,8 +311,8 @@ class TestDeterminismUnderConcurrency:
         def drive(slot):
             barrier.wait()
             for _ in range(3):
-                results = manager.run_blocks(mean_program, BLOCKS, 1, FALLBACK)
-                values = [r.output[0] for r in results]
+                results = _run(manager, mean_program)
+                values = list(results.outputs[:, 0])
                 if values != expected:
                     failures.append((slot, values))
 
@@ -325,7 +334,7 @@ class TestPoolTelemetry:
             backend="pool", max_workers=2, metrics=metrics, batch_size=3
         )
         try:
-            manager.run_blocks(mean_program, BLOCKS, 1, FALLBACK)
+            _run(manager, mean_program)
         finally:
             manager.close()
         snapshot = metrics.snapshot()

@@ -37,8 +37,10 @@ import pytest
 from repro.estimators.statistics import Mean
 from repro.observability import MetricsRegistry
 from repro.runtime.remote import RemoteShardBackend
-from repro.runtime.shard import ShardQuerySpec, ShardedExecutionBackend
+from repro.runtime.shard import ShardQuerySpec
 from repro.testing import failpoints
+
+from tests.shard_reference import reference_outputs
 
 SRC_PATH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -76,19 +78,14 @@ def _clean_failpoints():
 
 @pytest.fixture(scope="module")
 def baseline():
-    """The healthy release: outputs from the in-process sharded engine.
+    """The healthy release, computed independently of the coordinator.
 
-    Using the *in-process* backend as the golden makes every
-    bit-identical assertion below also a cross-transport determinism
-    check, not just remote-vs-remote.
+    The golden replays the combined plan block by block in this
+    process, sharing no code with the nodes, so every bit-identical
+    assertion below also checks the shard kernel itself, not just
+    remote-vs-remote.
     """
-    backend = ShardedExecutionBackend(shards=SHARDS, metrics=MetricsRegistry())
-    try:
-        _, batch = backend.run_sharded(PROGRAM, _values(), SPEC)
-    finally:
-        backend.close()
-    assert batch.succeeded.all(), "baseline must succeed on every block"
-    return batch.outputs.copy()
+    return reference_outputs(PROGRAM, _values(), SPEC)
 
 
 def _spawn_victim(arming: str) -> tuple[subprocess.Popen, str]:

@@ -4,8 +4,8 @@ Runs a coordinator against ``repro shard-node`` subprocesses for a
 wall-clock duration taken from ``REPRO_SOAK_SECONDS`` (default 2 so the
 tier-1 run stays fast; the CI distributed job sets 30), alternating
 between two query plans, and asserts *continuous* bit-identity: every
-single release over the whole soak must equal the in-process sharded
-engine's answer for the same plan, byte for byte.
+single release over the whole soak must equal an independent
+block-by-block replay of the same plan, byte for byte.
 
 Halfway through, one node is killed outright.  The cluster must carry
 on — surviving nodes adopt the orphaned shards by replaying
@@ -31,7 +31,9 @@ import pytest
 from repro.estimators.statistics import Mean
 from repro.observability import MetricsRegistry
 from repro.runtime.remote import RemoteShardBackend
-from repro.runtime.shard import ShardQuerySpec, ShardedExecutionBackend
+from repro.runtime.shard import ShardQuerySpec
+
+from tests.shard_reference import reference_outputs
 
 SOAK_SECONDS = float(os.environ.get("REPRO_SOAK_SECONDS", "2"))
 SRC_PATH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -92,15 +94,10 @@ def _spawn_node() -> tuple[subprocess.Popen, str]:
 
 def test_remote_cluster_soak_with_mid_soak_node_kill():
     values = _values()
-    baselines = {}
-    golden = ShardedExecutionBackend(shards=SHARDS, metrics=MetricsRegistry())
-    try:
-        for plan_seed in PLAN_SEEDS:
-            _, batch = golden.run_sharded(PROGRAM, values, _spec(plan_seed))
-            assert batch.succeeded.all()
-            baselines[plan_seed] = batch.outputs.copy()
-    finally:
-        golden.close()
+    baselines = {
+        plan_seed: reference_outputs(PROGRAM, values, _spec(plan_seed))
+        for plan_seed in PLAN_SEEDS
+    }
 
     nodes = [_spawn_node() for _ in range(NODES)]
     metrics = MetricsRegistry()
@@ -198,8 +195,8 @@ def test_two_curator_soak_stays_bit_identical_and_pushes_nothing(tmp_path):
 
     The curators load their own rows from disk (``--data``), authenticate
     the coordinator (``--secret``), and answer partials for their own
-    halves.  Every release over the soak must equal the in-process
-    engine's answer byte for byte, and — the curator-mode boundary —
+    halves.  Every release over the soak must equal an independent
+    replay of the plan byte for byte, and — the curator-mode boundary —
     not a single segment push may cross the wire for the whole soak.
     """
     from repro.datasets.table import FederatedValues
@@ -207,17 +204,10 @@ def test_two_curator_soak_stays_bit_identical_and_pushes_nothing(tmp_path):
     secret = "soak-secret"
     dataset = "soak-fed"
     values = _values()
-    baselines = {}
-    golden = ShardedExecutionBackend(shards=SHARDS, metrics=MetricsRegistry())
-    try:
-        for plan_seed in PLAN_SEEDS:
-            spec = _spec(plan_seed)
-            spec = type(spec)(**{**spec.__dict__, "dataset": dataset})
-            _, batch = golden.run_sharded(PROGRAM, values, spec)
-            assert batch.succeeded.all()
-            baselines[plan_seed] = batch.outputs.copy()
-    finally:
-        golden.close()
+    baselines = {
+        plan_seed: reference_outputs(PROGRAM, values, _spec(plan_seed))
+        for plan_seed in PLAN_SEEDS
+    }
 
     curators = [
         _spawn_curator(tmp_path, "north", values[:300], dataset, secret),

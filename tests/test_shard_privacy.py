@@ -1,15 +1,17 @@
-"""Privacy boundary of the shard IPC: partials only, never records.
+"""Privacy boundary of the shard transport: partials only, never records.
 
-The sharded backend's design claim is that after a dataset is pushed
-into shared memory (coordinator -> worker, at registration), the only
-payload that ever crosses a process boundary is the per-shard block
-summary: a clamped ``(l_s, p)`` output matrix, its success mask, and
-public scalars.  These tests observe every worker -> coordinator
-message through the backend's ``message_observer`` hook and prove it
-structurally — following the sentinel-band technique of
-``tests/test_observability.py``: all records live in [7000, 7400], so
-any unclamped record magnitude in a place it shouldn't be is
-detectable, and the *shape* allowlist rules out smuggling the raw
+The shard coordinator's design claim is that, once a node holds its
+shards' rows, the only payload that ever crosses back to the
+coordinator is the per-shard block summary: a clamped ``(l_s, p)``
+output matrix, its success mask, and public scalars.  These tests
+capture every frame in both directions through the coordinator's
+``frame_observer`` hook — over TCP to node threads
+(``node_spawn="thread"``, the ``remote`` backend) and over socketpairs
+to forked nodes (``node_spawn="fork"``, what ``backend="sharded"``
+builds) — and prove it structurally, following the sentinel-band
+technique of ``tests/test_observability.py``: all records live in
+[7000, 7400], so any unclamped record magnitude in a place it shouldn't
+be is detectable, and the *shape* allowlist rules out smuggling the raw
 record slab regardless of its values.
 """
 
@@ -24,18 +26,15 @@ from repro.datasets.table import DataTable
 from repro.estimators.statistics import Mean
 from repro.observability import MetricsRegistry
 from repro.runtime.computation_manager import ComputationManager
-from repro.runtime.shard import ShardedExecutionBackend
+from repro.runtime.remote import RemoteShardBackend, wire
 
 from tests.test_observability import SENTINEL_LO, SENTINEL_HI, numeric_leaves
 
 SHARDS = 4
-WORKERS = 2
+NODES = 2
 BLOCK_SIZE = 100
 NUM_RECORDS = 2_000
 EPSILON = 0.5
-
-#: Worker -> coordinator message kinds the protocol may ever use.
-ALLOWED_KINDS = {"partial", "query-done", "partial-missing"}
 
 
 @pytest.fixture
@@ -54,133 +53,25 @@ def sentinel_manager(rng):
     return manager
 
 
-def _run_observed(manager, metrics, declared_range):
-    """One seeded sharded query, capturing every boundary message."""
-    messages = []
-    backend = ShardedExecutionBackend(
-        shards=SHARDS, workers=WORKERS, metrics=metrics,
-        message_observer=messages.append,
-    )
-    computation = ComputationManager(
-        backend="sharded", shards=SHARDS, max_workers=WORKERS,
-        sharded=backend, metrics=metrics,
-    )
-    runtime = GuptRuntime(
-        manager, computation_manager=computation, rng=7, metrics=metrics
-    )
-    try:
-        result = runtime.run(
-            "census", Mean(), TightRange(declared_range),
-            epsilon=EPSILON, block_size=BLOCK_SIZE, rng=11,
-        )
-    finally:
-        runtime.close()
-    assert metrics.snapshot()["counters"]["shard.queries"] == 1
-    return result, messages
-
-
-class TestBoundarySchema:
-    def test_only_allowlisted_message_shapes_cross(self, sentinel_manager):
-        """Every boundary message is one of the three protocol kinds,
-        with exact arity — and every partial is a block-summary matrix
-        whose row count matches the public shard geometry, far too small
-        to carry the record slab."""
-        metrics = MetricsRegistry()
-        _, messages = _run_observed(
-            sentinel_manager, metrics, (SENTINEL_LO, SENTINEL_HI)
-        )
-        assert messages, "observer saw no boundary traffic"
-        counts = shard_block_counts(NUM_RECORDS, BLOCK_SIZE, 1, SHARDS)
-
-        partial_shards = []
-        for message in messages:
-            kind = message[0]
-            assert kind in ALLOWED_KINDS, message
-            if kind == "query-done":
-                assert len(message) == 2
-                continue
-            if kind == "partial-missing":
-                assert len(message) == 3
-                continue
-            _, qid, shard, outputs, succeeded, elapsed = message
-            partial_shards.append(int(shard))
-            outputs = np.asarray(outputs)
-            assert outputs.shape == (int(counts[shard]), 1)
-            assert np.asarray(succeeded).shape == (int(counts[shard]),)
-            assert isinstance(float(elapsed), float)
-            # The summary payload is orders of magnitude smaller than
-            # the shard's record slice: nothing raw fits through.
-            assert outputs.size < NUM_RECORDS // SHARDS
-
-        assert sorted(partial_shards) == list(range(SHARDS))
-
-    def test_partials_are_clamped_before_crossing(self, sentinel_manager):
-        """Declared output ranges are applied *inside* the worker: with
-        a declared range far below the sentinel band, no number in the
-        sentinel band ever crosses the boundary — even though every
-        block's true mean lies in it."""
-        metrics = MetricsRegistry()
-        result, messages = _run_observed(sentinel_manager, metrics, (0.0, 100.0))
-        partials = [m for m in messages if m[0] == "partial"]
-        assert partials
-        for message in partials:
-            leaves = numeric_leaves(np.asarray(message[3]).tolist())
-            assert leaves, "partial carried no outputs"
-            assert all(v <= 100.0 for v in leaves), message
-            assert not any(SENTINEL_LO <= v <= SENTINEL_HI for v in leaves)
-        # Clamping is idempotent, so narrowing the boundary early does
-        # not move the release: the aggregate stays in the clamp range.
-        assert all(0.0 <= float(v) <= 100.0 + 10.0 / EPSILON for v in result.value)
-
-    def test_released_bits_match_serial_despite_worker_clamp(self, sentinel_manager):
-        """The clamp-at-the-boundary optimization never moves bits."""
-        metrics = MetricsRegistry()
-        result, _ = _run_observed(sentinel_manager, metrics, (0.0, 100.0))
-
-        serial_manager = DatasetManager()
-        values = np.random.default_rng(12345).uniform(
-            SENTINEL_LO + 50.0, SENTINEL_HI - 50.0, size=NUM_RECORDS
-        )
-        serial_manager.register(
-            "census",
-            DataTable(values, column_names=["v"],
-                      input_ranges=[(SENTINEL_LO, SENTINEL_HI)]),
-            total_budget=20.0,
-        )
-        runtime = GuptRuntime(
-            serial_manager, rng=7, backend="serial", shards=SHARDS
-        )
-        try:
-            serial = runtime.run(
-                "census", Mean(), TightRange((0.0, 100.0)),
-                epsilon=EPSILON, block_size=BLOCK_SIZE, rng=11,
-            )
-        finally:
-            runtime.close()
-        assert tuple(result.value) == tuple(serial.value)
-
-
-def _run_remote_observed(manager, metrics, declared_range):
-    """One seeded remote query, capturing every frame in both directions.
+def _run_observed(manager, metrics, declared_range, spawn="fork"):
+    """One seeded query over ``spawn`` nodes, capturing every frame.
 
     Returns ``(result, frames, messages)`` where ``frames`` is a list of
-    ``(direction, raw_bytes)`` network captures and ``messages`` the
-    decoded node -> coordinator frames.
+    ``(direction, raw_bytes)`` captures and ``messages`` the decoded
+    node -> coordinator frames.
     """
-    from repro.runtime.remote import RemoteShardBackend
-
     frames = []
     messages = []
     backend = RemoteShardBackend(
-        shards=SHARDS, nodes=2, metrics=metrics,
+        shards=SHARDS, nodes=NODES, metrics=metrics, node_spawn=spawn,
         message_observer=messages.append,
         frame_observer=lambda direction, raw: frames.append((direction, raw)),
         heartbeat_interval=None,
     )
     try:
         computation = ComputationManager(
-            backend="remote", shards=SHARDS, max_workers=2,
-            sharded=backend, metrics=metrics,
+            backend="sharded" if spawn == "fork" else "remote",
+            shards=SHARDS, max_workers=NODES, sharded=backend, metrics=metrics,
         )
         runtime = GuptRuntime(
             manager, computation_manager=computation, rng=7, metrics=metrics
@@ -195,98 +86,169 @@ def _run_remote_observed(manager, metrics, declared_range):
             runtime.close()
     finally:
         backend.close()
+    assert metrics.snapshot()["counters"]["remote.queries"] == 1
     return result, frames, messages
 
 
-class TestRemoteWireSentinels:
-    """The shard-IPC privacy claims, re-proven over a real TCP socket."""
+def _decoded(frames, direction):
+    return [wire.decode_frame(raw) for d, raw in frames if d == direction]
 
-    def _decoded(self, frames, direction):
-        from repro.runtime.remote import wire
 
-        return [
-            wire.decode_frame(raw) for d, raw in frames if d == direction
-        ]
+def _assert_return_channel_clamped(frames, messages):
+    """Node -> coordinator traffic: allowlisted kinds only, partial
+    matrices clamped below the sentinel band and shaped by the public
+    shard geometry, headers carrying nothing but public geometry."""
+    received = _decoded(frames, "recv")
+    assert received, "observer saw no node -> coordinator frames"
+    counts = shard_block_counts(NUM_RECORDS, BLOCK_SIZE, 1, SHARDS)
+    partial_shards = []
+    for frame in received:
+        assert frame.kind in wire.NODE_TO_COORDINATOR_KINDS, frame.kind_name
+        header_leaves = numeric_leaves(dict(frame.header))
+        assert not any(
+            SENTINEL_LO <= v <= SENTINEL_HI for v in header_leaves
+        ), frame.header
+        if frame.kind != wire.PARTIAL:
+            assert frame.body == b"", frame.kind_name
+            continue
+        shard = int(frame.header["shard"])
+        partial_shards.append(shard)
+        rows = int(frame.header["shape"][0])
+        assert tuple(frame.header["shape"]) == (int(counts[shard]), 1)
+        # Exactly the output matrix plus one mask byte per block.
+        assert len(frame.body) == rows * 8 + rows
+        matrix = np.frombuffer(frame.body[: rows * 8], dtype="<f8")
+        assert (matrix <= 100.0).all()
+        assert not (
+            (matrix >= SENTINEL_LO) & (matrix <= SENTINEL_HI)
+        ).any(), "unclamped sentinel-band value crossed the boundary"
+        # Far too small to carry the shard's raw record slice.
+        assert matrix.size < NUM_RECORDS // SHARDS
+    assert sorted(partial_shards) == list(range(SHARDS))
+    # The message_observer hook saw the same decoded traffic.
+    assert all(m.kind in wire.NODE_TO_COORDINATOR_KINDS for m in messages)
 
-    def test_return_channel_is_allowlisted_and_clamped(self, sentinel_manager):
-        """Node -> coordinator traffic: allowlisted kinds only, partial
-        matrices clamped below the sentinel band, headers carrying
-        nothing but public geometry."""
-        from repro.runtime.remote import wire
 
-        metrics = MetricsRegistry()
-        _, frames, messages = _run_remote_observed(
-            sentinel_manager, metrics, (0.0, 100.0)
+def _serial_release(manager):
+    runtime = GuptRuntime(manager, rng=7, backend="serial", shards=SHARDS)
+    try:
+        return runtime.run(
+            "census", Mean(), TightRange((0.0, 100.0)),
+            epsilon=EPSILON, block_size=BLOCK_SIZE, rng=11,
         )
-        received = self._decoded(frames, "recv")
-        assert received, "observer saw no node -> coordinator frames"
-        partials = 0
+    finally:
+        runtime.close()
+
+
+class TestBoundarySchema:
+    """The sentinels over forked local nodes (``backend="sharded"``)."""
+
+    def test_only_allowlisted_message_shapes_cross(self, sentinel_manager):
+        """Every frame back from a node is an allowlisted kind, and every
+        partial is a block-summary matrix whose row count matches the
+        public shard geometry, far too small to carry the record slab."""
+        metrics = MetricsRegistry()
+        _, frames, messages = _run_observed(
+            sentinel_manager, metrics, (SENTINEL_LO, SENTINEL_HI)
+        )
+        received = _decoded(frames, "recv")
+        counts = shard_block_counts(NUM_RECORDS, BLOCK_SIZE, 1, SHARDS)
+        partials = [f for f in received if f.kind == wire.PARTIAL]
+        assert sorted(int(f.header["shard"]) for f in partials) == list(range(SHARDS))
         for frame in received:
             assert frame.kind in wire.NODE_TO_COORDINATOR_KINDS, frame.kind_name
-            header_leaves = numeric_leaves(dict(frame.header))
-            assert not any(
-                SENTINEL_LO <= v <= SENTINEL_HI for v in header_leaves
-            ), frame.header
-            if frame.kind != wire.PARTIAL:
-                assert frame.body == b"", frame.kind_name
-                continue
-            partials += 1
-            rows = int(frame.header["shape"][0])
-            matrix = np.frombuffer(frame.body[: rows * 8], dtype="<f8")
-            assert (matrix <= 100.0).all()
-            assert not (
-                (matrix >= SENTINEL_LO) & (matrix <= SENTINEL_HI)
-            ).any(), "unclamped sentinel-band value crossed the socket"
-            # Far too small to carry the shard's raw record slice.
-            assert matrix.size < NUM_RECORDS // SHARDS
-        assert partials == SHARDS
-        # The message_observer hook saw the same decoded traffic.
-        assert all(m.kind in wire.NODE_TO_COORDINATOR_KINDS for m in messages)
+            if frame.kind == wire.PARTIAL:
+                rows = int(counts[int(frame.header["shard"])])
+                assert tuple(frame.header["shape"]) == (rows, 1)
+                assert len(frame.body) == rows * 8 + rows
+                assert rows < NUM_RECORDS // SHARDS
+        assert len(messages) == len(received)
+
+    def test_partials_are_clamped_before_crossing(self, sentinel_manager):
+        """Declared output ranges are applied *inside* the node: with
+        a declared range far below the sentinel band, no number in the
+        sentinel band ever crosses the boundary — even though every
+        block's true mean lies in it."""
+        metrics = MetricsRegistry()
+        result, frames, messages = _run_observed(
+            sentinel_manager, metrics, (0.0, 100.0)
+        )
+        _assert_return_channel_clamped(frames, messages)
+        # Clamping is idempotent, so narrowing the boundary early does
+        # not move the release: the aggregate stays in the clamp range.
+        assert all(0.0 <= float(v) <= 100.0 + 10.0 / EPSILON for v in result.value)
+
+    def test_released_bits_match_serial_despite_worker_clamp(self, sentinel_manager):
+        """The clamp-at-the-boundary optimization never moves bits."""
+        metrics = MetricsRegistry()
+        result, _, _ = _run_observed(sentinel_manager, metrics, (0.0, 100.0))
+
+        serial_manager = DatasetManager()
+        values = np.random.default_rng(12345).uniform(
+            SENTINEL_LO + 50.0, SENTINEL_HI - 50.0, size=NUM_RECORDS
+        )
+        serial_manager.register(
+            "census",
+            DataTable(values, column_names=["v"],
+                      input_ranges=[(SENTINEL_LO, SENTINEL_HI)]),
+            total_budget=20.0,
+        )
+        assert tuple(result.value) == tuple(_serial_release(serial_manager).value)
+
+
+class TestRemoteWireSentinels:
+    """The same sentinels over TCP to node threads (``backend="remote"``)."""
+
+    def test_return_channel_is_allowlisted_and_clamped(self, sentinel_manager):
+        """Node -> coordinator traffic over TCP: allowlisted kinds only,
+        partial matrices clamped below the sentinel band, headers
+        carrying nothing but public geometry."""
+        _, frames, messages = _run_observed(
+            sentinel_manager, MetricsRegistry(), (0.0, 100.0), spawn="thread"
+        )
+        _assert_return_channel_clamped(frames, messages)
 
     def test_each_shard_segment_is_pushed_to_exactly_one_node(
         self, sentinel_manager
     ):
         """A node only ever receives its *own* shards' rows: no shard's
-        segment crosses the wire twice in a healthy query.  (Segments
-        legitimately carry sentinel-band rows — that is the positive
-        control that the capture hook sees real payload bytes.)"""
-        from repro.runtime.remote import wire
-
-        metrics = MetricsRegistry()
-        _, frames, _ = _run_remote_observed(
-            sentinel_manager, metrics, (0.0, 100.0)
-        )
-        segments = [
-            f for f in self._decoded(frames, "send") if f.kind == wire.SEGMENT
-        ]
-        pushed = [int(f.header["shard"]) for f in segments]
-        assert sorted(pushed) == list(range(SHARDS)), pushed
-        rows = np.frombuffer(segments[0].body, dtype="<f8")
-        assert ((rows >= SENTINEL_LO) & (rows <= SENTINEL_HI)).all()
+        segment crosses the wire twice in a healthy query, over TCP or
+        socketpairs.  (Segments legitimately carry sentinel-band rows —
+        that is the positive control that the capture hook sees real
+        payload bytes.)"""
+        for spawn in ("thread", "fork"):
+            _, frames, _ = _run_observed(
+                sentinel_manager, MetricsRegistry(), (0.0, 100.0), spawn=spawn
+            )
+            segments = [
+                f for f in _decoded(frames, "send") if f.kind == wire.SEGMENT
+            ]
+            pushed = [int(f.header["shard"]) for f in segments]
+            assert sorted(pushed) == list(range(SHARDS)), (spawn, pushed)
+            rows = np.frombuffer(segments[0].body, dtype="<f8")
+            assert ((rows >= SENTINEL_LO) & (rows <= SENTINEL_HI)).all()
 
     def test_heartbeats_carry_tokens_only(self, sentinel_manager):
-        from repro.runtime.remote import wire
-
-        metrics = MetricsRegistry()
-        _, frames, _ = _run_remote_observed(
-            sentinel_manager, metrics, (0.0, 100.0)
-        )
-        beats = [
-            f for f in self._decoded(frames, "send") + self._decoded(frames, "recv")
-            if f.kind in (wire.PING, wire.PONG)
-        ]
-        assert beats, "heartbeat_once produced no PING/PONG frames"
-        for frame in beats:
-            assert set(frame.header) == {"token"}
-            assert frame.body == b""
+        for spawn in ("thread", "fork"):
+            _, frames, _ = _run_observed(
+                sentinel_manager, MetricsRegistry(), (0.0, 100.0), spawn=spawn
+            )
+            beats = [
+                f for f in _decoded(frames, "send") + _decoded(frames, "recv")
+                if f.kind in (wire.PING, wire.PONG)
+            ]
+            assert beats, f"heartbeat_once produced no PING/PONG frames ({spawn})"
+            for frame in beats:
+                assert set(frame.header) == {"token"}
+                assert frame.body == b""
 
     def test_remote_release_matches_in_process_sharded(self, sentinel_manager):
-        """Observation hooks and transport change nothing: the remote
-        release equals the in-process sharded release bit for bit."""
-        remote, _, _ = _run_remote_observed(
-            sentinel_manager, MetricsRegistry(), (0.0, 100.0)
+        """Observation hooks and transport change nothing: the release
+        over TCP equals the release over forked socketpair nodes."""
+        remote, _, _ = _run_observed(
+            sentinel_manager, MetricsRegistry(), (0.0, 100.0), spawn="thread"
         )
-        in_process, _ = _run_observed(
+        in_process, _, _ = _run_observed(
             sentinel_manager, MetricsRegistry(), (0.0, 100.0)
         )
         assert tuple(remote.value) == tuple(in_process.value)
@@ -413,7 +375,7 @@ class TestFederatedWireSentinels:
                       input_ranges=[(SENTINEL_LO, SENTINEL_HI)]),
             total_budget=20.0,
         )
-        in_process, _ = _run_observed(manager, MetricsRegistry(), (0.0, 100.0))
+        in_process, _, _ = _run_observed(manager, MetricsRegistry(), (0.0, 100.0))
         assert tuple(federated.value) == tuple(in_process.value)
 
 
@@ -421,7 +383,9 @@ class TestRemoteTelemetrySentinels:
     def test_remote_metrics_never_touch_the_sentinel_band(self, sentinel_manager):
         """``remote.*`` telemetry is geometry, counts and seconds only."""
         metrics = MetricsRegistry()
-        _run_remote_observed(sentinel_manager, metrics, (SENTINEL_LO, SENTINEL_HI))
+        _run_observed(
+            sentinel_manager, metrics, (SENTINEL_LO, SENTINEL_HI), spawn="thread"
+        )
         snapshot = metrics.snapshot()
         remote_keys = [
             k for section in ("counters", "gauges", "histograms")
@@ -557,16 +521,16 @@ class TestNodeCodeStaysOutsideTheLedger:
 
 class TestTelemetryStaysReleaseSafe:
     def test_shard_metrics_never_touch_the_sentinel_band(self, sentinel_manager):
-        """The observability invariant extends to ``shard.*``: geometry,
+        """Over forked nodes too, ``remote.*`` telemetry is geometry,
         counts and seconds only — no block outputs, no records."""
         metrics = MetricsRegistry()
         _run_observed(sentinel_manager, metrics, (SENTINEL_LO, SENTINEL_HI))
         snapshot = metrics.snapshot()
         shard_keys = [
             k for section in ("counters", "gauges", "histograms")
-            for k in snapshot[section] if k.startswith("shard.")
+            for k in snapshot[section] if k.startswith("remote.")
         ]
-        assert shard_keys, "sharded run produced no shard telemetry"
+        assert shard_keys, "sharded run produced no coordinator telemetry"
         offenders = [
             v for v in numeric_leaves(snapshot)
             if SENTINEL_LO <= v <= SENTINEL_HI

@@ -7,8 +7,10 @@ pool, vectorized, sharded at any physical worker count ``K`` — releases
 bit-for-bit identical values under the same seed.  These tests pin that
 matrix, the shard-major combine protocol underneath it, the degrade
 paths (timing defense, unpicklable programs, explicit grouped plans),
-and kill-and-replace self-healing.
+and kill-and-replace self-healing of the forked local nodes.
 """
+
+import multiprocessing
 
 import numpy as np
 import pytest
@@ -26,8 +28,10 @@ from repro.datasets.table import DataTable
 from repro.estimators.statistics import Mean
 from repro.exceptions import ComputationError
 from repro.observability import MetricsRegistry
+from repro.runtime import computation_manager
 from repro.runtime.computation_manager import ComputationManager
-from repro.runtime.shard import ShardedExecutionBackend, ShardQuerySpec
+from repro.runtime.remote import RemoteShardBackend
+from repro.runtime.shard import ShardQuerySpec
 from repro.runtime.timing import TimingDefense
 
 SEED = 424242
@@ -38,7 +42,7 @@ NUM_RECORDS = 1_000
 
 
 def crash_on_negative_mean(block):
-    """Kills its host process on shard-0 data (see the self-heal test).
+    """Kills its host node on shard-0 data (see the self-heal test).
 
     Module-level so it pickles: a nested def would silently degrade the
     sharded fast path to the in-process chamber — and kill the test run.
@@ -51,6 +55,39 @@ def crash_on_negative_mean(block):
 
 
 crash_on_negative_mean.output_dimension = 1
+
+
+def plain_mean(block):
+    return float(np.mean(block))
+
+
+plain_mean.output_dimension = 1
+
+
+def crash_once(block):
+    """Kills its host node the first time any node runs it, then behaves
+    like :func:`plain_mean` (the marker file remembers the crash)."""
+    import os
+
+    marker = os.environ["REPRO_TEST_CRASH_MARKER"]
+    if not os.path.exists(marker):
+        open(marker, "w").close()
+        os._exit(13)
+    return plain_mean(block)
+
+
+crash_once.output_dimension = 1
+
+
+def slow_mean(block):
+    """:func:`plain_mean`, slowed so each shard computes for ~0.5 s."""
+    import time
+
+    time.sleep(0.05)
+    return plain_mean(block)
+
+
+slow_mean.output_dimension = 1
 
 
 def _values(num_records: int = NUM_RECORDS) -> np.ndarray:
@@ -162,9 +199,9 @@ class TestDeterminismMatrix:
         metrics = MetricsRegistry()
         _release(backend="sharded", workers=2, shards=4, metrics=metrics)
         counters = metrics.snapshot()["counters"]
-        assert counters["shard.queries"] == 1
+        assert counters["remote.queries"] == 1
         assert not any(k.startswith("sharded.fallbacks") for k in counters)
-        # Workers report one elapsed time per shard, not per block.
+        # Nodes report one elapsed time per shard, not per block.
         assert "blocks.latency_seconds" not in metrics.snapshot()["histograms"]
 
 
@@ -249,16 +286,19 @@ class TestSelfHealing:
                 return tuple(float(v) for v in result.value)
 
             before = query(11)
-            computation.sharded_backend._workers[0].kill()
+            node = computation.sharded_backend._cluster._children[0]
+            node.kill()
+            node.join(timeout=5.0)
+            assert node.exitcode is not None
             after = query(11)
         finally:
             runtime.close()
         assert before == after
         counters = metrics.snapshot()["counters"]
-        assert counters["shard.worker_restarts"] >= 1
-        # The healed worker needed the dataset re-pushed, but the
-        # coordinator never re-copied the segment for the live ones.
-        assert counters["shard.dataset_pushes"] == 1
+        assert counters["remote.node_deaths"] >= 1
+        # The replacement node needed its two shards re-pushed; the live
+        # node's two were never sent again.
+        assert counters["remote.segment_pushes"] == 4 + 2
 
     def test_crash_during_query_substitutes_fallback_rows(self):
         """A program that kills its worker on one shard's data: the query
@@ -291,9 +331,65 @@ class TestSelfHealing:
             runtime.close()
         assert np.all(np.isfinite(result.value))
         counters = metrics.snapshot()["counters"]
-        assert counters["shard.worker_restarts"] >= 1
+        assert counters["remote.node_deaths"] >= 1
         assert counters["blocks.fallback"] >= 1
         assert counters["blocks.success"] >= 1
+
+
+    def test_one_node_retries_a_crashed_query_on_a_fresh_fork(
+        self, tmp_path, monkeypatch
+    ):
+        """K=1: the dead node's slot is re-dialed, which forks a fresh
+        node; the retry answers every shard, bit-identically."""
+        monkeypatch.setenv("REPRO_TEST_CRASH_MARKER", str(tmp_path / "crashed"))
+        metrics = MetricsRegistry()
+        healed = _release(
+            backend="sharded", workers=1, shards=2,
+            metrics=metrics, program=crash_once,
+        )
+        assert healed == _release(backend="serial", shards=2, program=plain_mean)
+        counters = metrics.snapshot()["counters"]
+        assert counters["remote.node_deaths"] == 1
+        assert counters["blocks.fallback"] == 0
+
+
+    def test_slow_shard_is_never_declared_wedged(self, monkeypatch):
+        """A forked node sends nothing while it computes a shard.  That is
+        busy, not wedged: its death would show up as EOF.  So a shard
+        outlasting any liveness deadline still releases the serial bits."""
+        deadline = 0.2
+        metrics = MetricsRegistry()
+        control = RemoteShardBackend(
+            shards=2, nodes=1, node_spawn="fork", node_timeout=deadline,
+            heartbeat_interval=None, metrics=metrics,
+        )
+        # The premise: a node held to the deadline is declared wedged,
+        # and so is the fresh fork that retries its shards.
+        try:
+            with pytest.raises(ComputationError, match="every block"):
+                _release(
+                    computation=ComputationManager(
+                        backend="sharded", sharded=control
+                    ),
+                    metrics=metrics, program=slow_mean,
+                )
+        finally:
+            control.close()
+        assert metrics.snapshot()["counters"]["remote.node_deaths"] >= 1
+
+        def short_default(*args, node_timeout=deadline, **kwargs):
+            return RemoteShardBackend(*args, node_timeout=node_timeout, **kwargs)
+
+        monkeypatch.setattr(computation_manager, "RemoteShardBackend", short_default)
+        metrics = MetricsRegistry()
+        slow = _release(
+            backend="sharded", workers=1, shards=2,
+            metrics=metrics, program=slow_mean,
+        )
+        assert slow == _release(backend="serial", shards=2, program=plain_mean)
+        counters = metrics.snapshot()["counters"]
+        assert counters.get("remote.node_deaths", 0) == 0
+        assert counters.get("blocks.fallback", 0) == 0
 
 
 class TestDegrades:
@@ -313,7 +409,7 @@ class TestDegrades:
         assert sharded == serial
         counters = metrics.snapshot()["counters"]
         assert counters['sharded.fallbacks{reason="unpicklable"}'] == 1
-        assert counters.get("shard.queries", 0) == 0
+        assert counters.get("remote.queries", 0) == 0
 
     def test_timing_defense_degrades_bit_compatibly(self):
         metrics = MetricsRegistry()
@@ -359,25 +455,41 @@ class TestDegrades:
         sharded_value, metrics = grouped_release("sharded")
         serial_value, _ = grouped_release("serial")
         assert sharded_value == serial_value
-        assert metrics.snapshot()["counters"].get("shard.queries", 0) == 0
+        assert metrics.snapshot()["counters"].get("remote.queries", 0) == 0
+
+
+def _local_backend(shards: int, nodes: int) -> RemoteShardBackend:
+    """A coordinator over forked local nodes, as ``backend="sharded"`` builds."""
+    return RemoteShardBackend(
+        shards=shards, nodes=nodes, node_spawn="fork", heartbeat_interval=None
+    )
 
 
 class TestValidation:
     def test_backend_rejects_bad_geometry(self):
+        with pytest.raises(ComputationError):
+            _local_backend(shards=0, nodes=1)
         with pytest.raises(ValueError):
-            ShardedExecutionBackend(shards=0)
-        with pytest.raises(ValueError):
-            ShardedExecutionBackend(shards=2, workers=0)
-        with pytest.raises(ValueError):
-            ShardedExecutionBackend(shards=2, resident_datasets=0)
+            ComputationManager(backend="sharded", shards=2, max_workers=0)
+        with pytest.raises(ComputationError):
+            RemoteShardBackend(shards=2, nodes=1, resident_datasets=0)
 
     def test_workers_clamped_to_shards(self):
-        backend = ShardedExecutionBackend(shards=2, workers=8)
-        assert backend.workers == 2
-        backend.close()
+        """K > S forks no idle node: one node per shard, no more."""
+        manager = ComputationManager(backend="sharded", shards=2, max_workers=8)
+        try:
+            assert manager.sharded_backend.nodes == 2
+            manager.run_sharded_collected(
+                Mean(), _values(100), dataset="d", version=1,
+                block_size=10, resampling_factor=1, plan_seed=0,
+                output_dimension=1, fallback=np.zeros(1),
+            )
+            assert len(multiprocessing.active_children()) == 2
+        finally:
+            manager.close()
 
     def test_spec_shard_mismatch_is_an_error(self):
-        backend = ShardedExecutionBackend(shards=2, workers=1)
+        backend = _local_backend(shards=2, nodes=1)
         spec = ShardQuerySpec(
             dataset="d", version=1, num_records=100, block_size=10,
             resampling_factor=1, plan_seed=0, shards=3,
@@ -394,7 +506,7 @@ class TestValidation:
             ComputationManager(backend="sharded", shards=0)
 
     def test_manager_rejects_mismatched_prebuilt_backend(self):
-        backend = ShardedExecutionBackend(shards=2, workers=1)
+        backend = _local_backend(shards=2, nodes=1)
         try:
             with pytest.raises(ValueError):
                 ComputationManager(backend="sharded", shards=4, sharded=backend)

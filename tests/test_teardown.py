@@ -3,13 +3,17 @@
 Teardown paths overlap in this codebase by design — context managers,
 explicit ``close()`` calls, ``GuptService.close`` cascading into
 ``GuptRuntime.close`` cascading into the backends, ``__del__`` as a
-last resort.  A double release of worker processes or shared-memory
-segments is a crash; a *skipped* release is a leak.  These regression
+last resort.  A double release of worker or node processes is a crash;
+a *skipped* release is a leak.  These regression
 tests pin the contract at every layer: closing twice is a no-op, the
 expensive teardown happens exactly once, and — for the pool backend,
 which is restartable by design — closing does not wedge the owner
 against a later run.
 """
+
+import multiprocessing
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -20,11 +24,10 @@ from repro.core.range_estimation import TightRange
 from repro.datasets.table import DataTable
 from repro.estimators.statistics import Mean
 from repro.exceptions import ComputationError
-from repro.observability import MetricsRegistry
 from repro.runtime.computation_manager import ComputationManager
+from repro.runtime.remote.backend import LocalNodeCluster
 from repro.runtime.scheduler import QueryScheduler
 from repro.runtime.service import ANALYST, OWNER, GuptService, QueryRequest
-from repro.runtime.shard import ShardedExecutionBackend
 
 
 def _table(num_records: int = 400) -> DataTable:
@@ -32,47 +35,88 @@ def _table(num_records: int = 400) -> DataTable:
     return DataTable(values, column_names=["v"], input_ranges=[(0.0, 100.0)])
 
 
+def _sharded_query(manager: ComputationManager) -> None:
+    """One query through the manager's shard coordinator (forks its nodes)."""
+    manager.run_sharded_collected(
+        Mean(), _table().values, dataset="d", version=1, block_size=50,
+        resampling_factor=1, plan_seed=0, output_dimension=1,
+        fallback=np.zeros(1),
+    )
+
+
 class TestShardedBackendTeardown:
     def test_close_is_idempotent_and_terminal(self):
-        backend = ShardedExecutionBackend(shards=2, workers=2)
-        backend._ensure_started()
-        processes = [w.process for w in backend._workers]
-        backend.close()
-        assert all(not p.is_alive() for p in processes)
-        backend.close()  # second call: cheap no-op, no double release
+        manager = ComputationManager(backend="sharded", shards=2, max_workers=2)
+        backend = manager.sharded_backend
+        _sharded_query(manager)
+        assert len(multiprocessing.active_children()) == 2
+        manager.close()
+        assert not multiprocessing.active_children()
+        manager.close()  # second call: cheap no-op, no double release
         with pytest.raises(ComputationError, match="closed"):
-            backend._ensure_started()
+            _sharded_query(manager)
+        assert backend._closed
 
-    def test_close_releases_segments_exactly_once(self, monkeypatch):
-        from repro.runtime.shard import _DatasetSegment
-
-        backend = ShardedExecutionBackend(shards=2, workers=1)
-        with backend._dispatch_lock:
-            backend._ensure_started()
-            backend._ensure_dataset_locked(
-                ("d", 1), np.arange(20.0).reshape(-1, 1)
-            )
-        releases = []
-        original = _DatasetSegment.release
+    def test_close_reaps_nodes_exactly_once(self, monkeypatch):
+        stops = []
+        original = LocalNodeCluster.stop
         monkeypatch.setattr(
-            _DatasetSegment, "release",
-            lambda segment: (releases.append(segment.key), original(segment))[1],
+            LocalNodeCluster, "stop",
+            lambda cluster: (stops.append(cluster), original(cluster))[1],
         )
-        backend.close()
-        backend.close()
-        assert releases == [("d", 1)]
+        manager = ComputationManager(backend="sharded", shards=2, max_workers=1)
+        _sharded_query(manager)
+        manager.close()
+        manager.close()
+        assert len(stops) == 1
+        assert not multiprocessing.active_children()
 
     def test_context_manager_overlapping_explicit_close(self):
-        with ShardedExecutionBackend(shards=2, workers=1) as backend:
-            backend._ensure_started()
-            backend.close()  # __exit__ will close again — must not raise
+        with ComputationManager(
+            backend="sharded", shards=2, max_workers=1
+        ) as manager:
+            _sharded_query(manager)
+            manager.close()  # __exit__ will close again — must not raise
+        assert not multiprocessing.active_children()
+
+    def test_node_sees_eof_when_its_coordinator_end_closes(self):
+        """Node 1 is forked after node 0 and inherits node 0's
+        coordinator end; it must drop that copy, or node 0 would never
+        see its coordinator go away."""
+        manager = ComputationManager(backend="sharded", shards=2, max_workers=2)
+        backend = manager.sharded_backend
+        try:
+            _sharded_query(manager)
+            first = backend._cluster._children[0]
+            backend._sessions[0].sock.close()
+            first.join(timeout=5.0)
+            assert first.exitcode is not None, "node 0 never saw EOF"
+        finally:
+            manager.close()
+        assert not multiprocessing.active_children()
+
+    def test_close_is_prompt_and_leaves_nothing_running(self):
+        """After one query, close() returns within 100 ms, every node
+        process is reaped, and no node or heartbeat thread survives."""
+        manager = ComputationManager(backend="sharded", shards=2, max_workers=2)
+        _sharded_query(manager)
+        started = time.perf_counter()
+        manager.close()
+        elapsed = time.perf_counter() - started
+        assert elapsed < 0.1, f"close took {elapsed * 1000:.1f} ms"
+        assert not multiprocessing.active_children()
+        lingering = [
+            t.name for t in threading.enumerate()
+            if t.name.startswith(("shard-node", "remote-heartbeat"))
+        ]
+        assert not lingering, lingering
 
 
 class TestComputationManagerTeardown:
     def test_sharded_manager_double_close(self):
         manager = ComputationManager(backend="sharded", shards=2, max_workers=2)
         backend = manager.sharded_backend
-        backend._ensure_started()
+        _sharded_query(manager)
         manager.close()
         manager.close()
         assert backend._closed
@@ -86,8 +130,10 @@ class TestComputationManagerTeardown:
         def run_once():
             values = np.random.default_rng(0).uniform(0, 10, size=(40, 1))
             blocks = [values[i * 10 : (i + 1) * 10] for i in range(4)]
-            results = manager.run_blocks(Mean(), blocks, 1, np.zeros(1))
-            assert all(r.succeeded for r in results)
+            batch = manager.run_blocks_collected(
+                Mean(), 1, np.zeros(1), blocks=blocks
+            )
+            assert batch.succeeded.all()
 
         run_once()
         manager.close()

@@ -68,13 +68,6 @@ class TestBatchPrimitives:
         assert list(batch.outputs[:, 0]) == [float(i) for i in range(6)]
         assert batch.succeeded.all()
 
-    def test_to_executions_expansion(self):
-        batch = run_batch_blocks(Mean(), stack_blocks(BLOCKS), 1, FALLBACK)
-        executions = batch.to_executions()
-        assert [e.output[0] for e in executions] == [float(i) for i in range(6)]
-        assert all(e.succeeded and not e.killed for e in executions)
-        assert all(e.elapsed == batch.per_block_elapsed for e in executions)
-
     def test_nonfinite_rows_substituted_with_fallback(self):
         class NaNBatch:
             def __call__(self, block):
@@ -155,8 +148,8 @@ class TestManagerBackend:
     def test_batch_path_taken_for_batch_programs(self):
         registry = MetricsRegistry()
         manager = ComputationManager(backend="vectorized", metrics=registry)
-        results = manager.run_blocks(Mean(), BLOCKS, 1, FALLBACK)
-        assert [r.output[0] for r in results] == [float(i) for i in range(6)]
+        results = manager.run_blocks_collected(Mean(), 1, FALLBACK, blocks=BLOCKS)
+        assert list(results.outputs[:, 0]) == [float(i) for i in range(6)]
         counters = registry.snapshot()["counters"]
         assert counters["vectorized.batches"] == 1
         assert "blocks.executed" in counters
@@ -175,8 +168,8 @@ class TestManagerBackend:
     def test_fallback_no_batch_form(self):
         registry = MetricsRegistry()
         manager = ComputationManager(backend="vectorized", metrics=registry)
-        results = manager.run_blocks(plain_mean, BLOCKS, 1, FALLBACK)
-        assert [r.output[0] for r in results] == [float(i) for i in range(6)]
+        results = manager.run_blocks_collected(plain_mean, 1, FALLBACK, blocks=BLOCKS)
+        assert list(results.outputs[:, 0]) == [float(i) for i in range(6)]
         counters = registry.snapshot()["counters"]
         assert counters['vectorized.fallbacks{reason="no_batch_form"}'] == 1
         assert counters.get("vectorized.batches", 0) == 0
@@ -186,10 +179,10 @@ class TestManagerBackend:
         manager = ComputationManager(
             backend="vectorized",
             metrics=registry,
-            timing=TimingDefense(cycle_budget=5.0),
+            timing=TimingDefense(cycle_budget=0.2),
         )
-        results = manager.run_blocks(Mean(), BLOCKS, 1, FALLBACK)
-        assert [r.output[0] for r in results] == [float(i) for i in range(6)]
+        results = manager.run_blocks_collected(Mean(), 1, FALLBACK, blocks=BLOCKS)
+        assert list(results.outputs[:, 0]) == [float(i) for i in range(6)]
         counters = registry.snapshot()["counters"]
         assert counters['vectorized.fallbacks{reason="timing_defense"}'] == 1
 
@@ -197,8 +190,8 @@ class TestManagerBackend:
         registry = MetricsRegistry()
         manager = ComputationManager(backend="vectorized", metrics=registry)
         ragged = BLOCKS + [np.full((3, 1), 6.0)]
-        results = manager.run_blocks(Mean(), ragged, 1, FALLBACK)
-        assert [r.output[0] for r in results] == [float(i) for i in range(7)]
+        results = manager.run_blocks_collected(Mean(), 1, FALLBACK, blocks=ragged)
+        assert list(results.outputs[:, 0]) == [float(i) for i in range(7)]
         counters = registry.snapshot()["counters"]
         assert counters['vectorized.fallbacks{reason="ragged_blocks"}'] == 1
 
@@ -212,9 +205,9 @@ class TestManagerBackend:
 
         registry = MetricsRegistry()
         manager = ComputationManager(backend="vectorized", metrics=registry)
-        results = manager.run_blocks(Broken(), BLOCKS, 1, FALLBACK)
+        results = manager.run_blocks_collected(Broken(), 1, FALLBACK, blocks=BLOCKS)
         # The per-block __call__ path still answers the query.
-        assert [r.output[0] for r in results] == [float(i) for i in range(6)]
+        assert list(results.outputs[:, 0]) == [float(i) for i in range(6)]
         counters = registry.snapshot()["counters"]
         assert counters['vectorized.fallbacks{reason="batch_error"}'] == 1
 
@@ -222,10 +215,8 @@ class TestManagerBackend:
         vec = ComputationManager(backend="vectorized", metrics=MetricsRegistry())
         serial = ComputationManager(backend="serial", metrics=MetricsRegistry())
         collected = vec.run_blocks_collected(Mean(), 1, FALLBACK, blocks=BLOCKS)
-        executions = serial.run_blocks(Mean(), BLOCKS, 1, FALLBACK)
-        assert np.array_equal(
-            collected.outputs, np.vstack([e.output for e in executions])
-        )
+        chambers = serial.run_blocks_collected(Mean(), 1, FALLBACK, blocks=BLOCKS)
+        assert np.array_equal(collected.outputs, chambers.outputs)
         assert collected.succeeded.all()
 
     def test_collected_without_blocks_list(self):
@@ -258,12 +249,12 @@ class TestManagerBackend:
         registry = MetricsRegistry()
         manager = ComputationManager(backend="vectorized", metrics=registry)
         stacked = stack_blocks(BLOCKS)
-        results = manager.run_blocks(
-            MutatingBatch(), BLOCKS, 1, FALLBACK, stacked=stacked
+        results = manager.run_blocks_collected(
+            MutatingBatch(), 1, FALLBACK, blocks=BLOCKS, stacked=stacked
         )
         # The in-place write raised against the read-only view; the
         # per-block path answered and the stacked array is untouched.
-        assert [r.output[0] for r in results] == [float(i) for i in range(6)]
+        assert list(results.outputs[:, 0]) == [float(i) for i in range(6)]
         assert np.array_equal(stacked, np.stack(BLOCKS))
         counters = registry.snapshot()["counters"]
         assert counters['vectorized.fallbacks{reason="batch_error"}'] == 1
@@ -291,7 +282,9 @@ class TestManagerBackend:
 
         manager = ComputationManager(backend="vectorized", metrics=MetricsRegistry())
         stacked = stack_blocks(BLOCKS)
-        manager.run_blocks(CountingBatch(), BLOCKS, 1, FALLBACK, stacked=stacked)
+        manager.run_blocks_collected(
+            CountingBatch(), 1, FALLBACK, blocks=BLOCKS, stacked=stacked
+        )
         assert CountingBatch.seen == [(6, 4, 1)]
 
 
